@@ -18,9 +18,10 @@ Pieces:
   hit/miss/byte counters, atomic writes and corruption-tolerant reads.
 - :class:`MemoizedTensaurus` — a transparent :class:`repro.sim.Tensaurus`
   wrapper whose ``run_*`` kernels are memoized by (config, operands,
-  arguments). Fault-injecting accelerators are never memoized: with a
-  :class:`FaultPlan` armed, successive runs advance the fault stream, so
-  replaying a cached report would change observable behavior.
+  arguments). Only fault-free reports are stored, and every hit goes
+  through :meth:`repro.sim.Tensaurus.replay`, which draws the launch's
+  faults from the armed :class:`FaultPlan` and sends a faulting launch
+  to the live simulator.
 """
 
 from __future__ import annotations
@@ -132,9 +133,16 @@ class ArtifactStore:
         return self.root / namespace / f"{fingerprint_value(*parts)}.pkl"
 
     def get(
-        self, namespace: str, parts: Iterable[Any], builder: Callable[[], Any]
+        self,
+        namespace: str,
+        parts: Iterable[Any],
+        builder: Callable[[], Any],
+        keep: Optional[Callable[[Any], bool]] = None,
     ) -> Any:
-        """Return the cached artifact for ``parts``, building it on miss."""
+        """Return the cached artifact for ``parts``, building it on miss.
+
+        A built value is persisted unless ``keep`` says otherwise.
+        """
         parts = tuple(parts)
         if not self.enabled:
             self.misses += 1
@@ -153,7 +161,8 @@ class ArtifactStore:
                 return value
         value = builder()
         self.misses += 1
-        self._write(path, value)
+        if keep is None or keep(value):
+            self._write(path, value)
         return value
 
     def put(self, namespace: str, parts: Iterable[Any], value: Any) -> Optional[Path]:
@@ -387,8 +396,11 @@ class MemoizedTensaurus:
     Keys combine the kernel name, the config's deterministic repr and the
     content fingerprints of every operand and keyword argument, so a cached
     :class:`repro.sim.SimReport` (cycles, bytes, numeric output) is only
-    replayed for an identical simulation. Accelerators with an armed fault
-    plan run live — their per-run fault stream makes replay incorrect.
+    replayed for an identical simulation. Only fault-free reports are
+    stored, and each launch replays through
+    :meth:`repro.sim.Tensaurus.replay`: it draws its faults as a live run
+    would and runs live when it faults. Accelerators whose plan draws
+    per-tile faults can never replay and never touch the store.
 
     Everything else (``config``, ``cache_info``, ``clear_cache``, ...)
     passes through to the wrapped instance.
@@ -411,7 +423,7 @@ class MemoizedTensaurus:
         return getattr(self._inner, name)
 
     def _memoized(self, kernel: str, operands: tuple, kwargs: dict, runner):
-        if self._inner.fault_plan is not None:
+        if not self._inner.fault_state.replayable:
             return runner()
         parts = (
             "simreport",
@@ -421,7 +433,19 @@ class MemoizedTensaurus:
             tuple(_operand_key(op) for op in operands),
             {k: _operand_key(v) for k, v in kwargs.items()},
         )
-        return self._store.get("simreport", parts, runner)
+        built: list = []
+
+        def run_live():
+            built.append(runner())
+            return built[0]
+
+        report = self._store.get(
+            "simreport", parts, run_live, keep=lambda r: r.fault_free
+        )
+        if built:
+            return report
+        replayed = self._inner.replay(report)
+        return replayed if replayed is not None else runner()
 
     # ------------------------------------------------------------------
     def run_mttkrp(self, tensor, mat_b, mat_c, mode=0, msu_mode="auto",

@@ -121,6 +121,13 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
              r"|replay_bit_identical|mutation_caught|shrink_ratio_ok"
              r"|minimal_passes_clean|corpus_replay_clean)", "gate"),
     ),
+    "BENCH_resilience": (
+        Rule(r"overhead\.baseline_cycles", "lower", 0.0),
+        Rule(r"overhead\.(rate_zero_identical|replay_identical"
+             r"|overhead_monotone)", "gate"),
+        Rule(r"degraded_lanes\.degradation_graceful", "gate"),
+        Rule(r"cp_resume\.(factors_match|trace_match)", "gate"),
+    ),
     "BENCH_tune": (
         Rule(r"kernels\.[^.]+\.speedup", "higher", 0.10),
         Rule(r"kernels\.[^.]+\.tuned_cycles", "lower", 0.0),

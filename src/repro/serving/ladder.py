@@ -13,11 +13,18 @@ or queue capacity shrinks the server steps down the ladder:
 
 The analytic tier needs no backend at all, which is also what keeps the
 server answering when every replica's circuit breaker is open.
+
+Both simulators are deterministic per (config, operands), so the ladder
+memoizes launches: each (tier, kernel, workload) is simulated once per
+ladder and later launches replay the stored report through
+:meth:`repro.sim.Tensaurus.replay`, which still draws each launch's
+faults and sends a faulting launch back to the live simulator.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Optional, Tuple
 
 from repro.sim.config import TensaurusConfig
 from repro.sim.perfmodel import FastModel
@@ -70,13 +77,30 @@ def calibrate_analytic_error(
     return worst
 
 
+def _detached(report: SimReport) -> SimReport:
+    """A copy of a fault-free report sharing nothing mutable with it
+    (the output array, read-only once memoized, stays shared)."""
+    phases = report.phase_cycles
+    return replace(
+        report, detail=dict(report.detail), faults={}, fault_events=[],
+        phase_cycles=None if phases is None else dict(phases),
+    )
+
+
 class DegradationLadder:
     """Executes a workload at a chosen fidelity tier.
 
     Holds the shared :class:`FastModel` (the analytic tier is host-side
-    and backend-free) and the calibrated analytic error bound. The
-    ``accelerator`` argument of :meth:`execute` is only consulted for
-    the two simulator tiers.
+    and backend-free), the calibrated analytic error bound and the
+    launch memo. The ``accelerator`` argument of :meth:`execute` is only
+    consulted for the two simulator tiers.
+
+    The memo maps (tier, kernel, workload fingerprint) to the last
+    fault-free report and the accelerator config that produced it, so
+    it holds at most one entry per tier for each (kernel, workload) the
+    ladder serves. It lives and dies with this instance. Stored output
+    arrays are made read-only and shared by every report answered from
+    them; everything else in a returned report is its own copy.
     """
 
     def __init__(
@@ -87,6 +111,9 @@ class DegradationLadder:
         self.sim_config = sim_config or TensaurusConfig()
         self.fast = FastModel(self.sim_config)
         self.analytic_error_bound = float(analytic_error_bound)
+        self._memo: Dict[
+            Tuple[str, str, str], Tuple[TensaurusConfig, SimReport]
+        ] = {}
 
     def execute(
         self, tier: str, item, kernel: str, accelerator=None
@@ -95,24 +122,51 @@ class DegradationLadder:
 
         Returns ``(report, degraded, error_bound)``. Simulator tiers may
         raise :class:`repro.util.errors.FaultError` (the caller's breaker
-        handles that); the analytic tier cannot fault.
+        handles that); the analytic tier cannot fault. Reports equal a
+        direct ``item.run`` / ``item.analytic`` call's, and an armed
+        fault plan sees the same launch sequence.
         """
-        if tier == TIER_FULL:
-            if accelerator is None:
-                raise ConfigError("full tier requires an accelerator")
-            return item.run(kernel, accelerator, compute_output=True), False, 0.0
-        if tier == TIER_BATCHED:
-            if accelerator is None:
-                raise ConfigError("batched tier requires an accelerator")
-            # Timing-exact but no numeric output: degraded, zero error.
-            return item.run(kernel, accelerator, compute_output=False), True, 0.0
         if tier == TIER_ANALYTIC:
             return (
-                item.analytic(kernel, self.fast),
+                self._analytic(item, kernel),
                 True,
                 self.analytic_error_bound,
             )
-        raise ConfigError(f"unknown degradation tier {tier!r}")
+        if tier not in (TIER_FULL, TIER_BATCHED):
+            raise ConfigError(f"unknown degradation tier {tier!r}")
+        if accelerator is None:
+            raise ConfigError(f"{tier} tier requires an accelerator")
+        # The batched tier is timing-exact but has no numeric output:
+        # degraded, zero error.
+        return (
+            self._simulate(tier, item, kernel, accelerator),
+            tier == TIER_BATCHED,
+            0.0,
+        )
+
+    def _simulate(self, tier: str, item, kernel: str, accelerator) -> SimReport:
+        key = (tier, kernel, item.fingerprint)
+        entry = self._memo.get(key)
+        if entry is not None and entry[0] == accelerator.config:
+            report = accelerator.replay(entry[1])
+            if report is not None:
+                return report
+        report = item.run(
+            kernel, accelerator, compute_output=tier == TIER_FULL
+        )
+        if report.fault_free:
+            if report.output is not None:
+                report.output.setflags(write=False)
+            self._memo[key] = (accelerator.config, _detached(report))
+        return report
+
+    def _analytic(self, item, kernel: str) -> SimReport:
+        key = (TIER_ANALYTIC, kernel, item.fingerprint)
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = (self.sim_config, item.analytic(kernel, self.fast))
+            self._memo[key] = entry
+        return _detached(entry[1])
 
     @staticmethod
     def next_lower(tier: str) -> Optional[str]:

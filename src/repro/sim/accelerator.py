@@ -37,7 +37,7 @@ values with no index overhead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -483,27 +483,35 @@ class Tensaurus:
     ) -> None:
         """Report one finished launch to the active tracer and registry.
 
-        ``phases`` is the per-pass decomposition from the tile fold;
-        ``write_cycles`` is the buffered-MSU writeback the caller added on
-        top. Both are folded and scaled by ``passes`` here so the emitted
-        phase totals sum exactly to ``report.cycles``. Purely
-        observational: the report is never modified.
+        ``phases`` is the per-pass decomposition from the tile fold
+        (None unless observed); ``write_cycles`` is the buffered-MSU
+        writeback the caller added on top. Both are folded and scaled by
+        ``passes`` into ``report.phase_cycles``, so the emitted phase
+        totals sum exactly to ``report.cycles``. No other field changes.
         """
+        if phases is not None:
+            merged = dict(phases)
+            merged["drain"] = merged.get("drain", 0) + write_cycles
+            report.phase_cycles = {
+                k: int(v) * int(passes) for k, v in merged.items()
+            }
+        self._emit_launch_obs(report)
+
+    @staticmethod
+    def _emit_launch_obs(report: SimReport) -> None:
+        """The launch span and ``sim.*`` counters of one launch, live or
+        replayed (see :meth:`replay`)."""
         tr = obs.tracer()
         reg = obs.metrics()
         if not (tr.enabled or reg.enabled):
             return
-        scaled: Dict[str, int] = {}
-        if phases is not None:
-            merged = dict(phases)
-            merged["drain"] = merged.get("drain", 0) + write_cycles
-            scaled = {k: int(v) * int(passes) for k, v in merged.items()}
+        scaled = report.phase_cycles or {}
         kernel = report.kernel
         tr.add_launch(
             kernel, report.cycles, scaled,
             args={
                 "msu_mode": report.detail.get("msu_mode"),
-                "passes": passes,
+                "passes": report.detail.get("passes"),
                 "ops": report.ops,
                 "nnz": report.detail.get("nnz"),
             },
@@ -549,6 +557,40 @@ class Tensaurus:
             )
             for event in report.fault_events:
                 event_counter.labels(kind=event.kind).inc()
+
+    # ------------------------------------------------------------------
+    # Replay of an earlier identical launch
+    # ------------------------------------------------------------------
+    def replay(self, report: SimReport) -> Optional[SimReport]:
+        """Answer one launch with ``report`` instead of simulating it.
+
+        ``report`` must be a :attr:`SimReport.fault_free` report of the
+        same kernel and operands from an accelerator with this config.
+        The launch draws its abort and lane-dropout faults from the
+        stream a live run would use (:meth:`FaultState.replay_run`). A
+        clean launch consumes its run slot and returns a copy
+        bit-identical to the live report, ``faults`` and
+        ``fault_events`` included, reported to the active tracer and
+        metrics registry as a live launch is. ``None`` means the caller
+        must run the launch live, with nothing consumed: the launch
+        would fault, the plan draws per-tile faults, or observation
+        needs the phase breakdown of a report from an unobserved run.
+        """
+        if report.phase_cycles is None and (
+            obs.tracer().enabled or obs.metrics().enabled
+        ):
+            return None
+        faults = self._faults.replay_run(report.kernel, self.config.rows)
+        if faults is None:
+            return None
+        phases = report.phase_cycles
+        out = replace(
+            report, detail=dict(report.detail), faults=faults,
+            fault_events=[],
+            phase_cycles=None if phases is None else dict(phases),
+        )
+        self._emit_launch_obs(out)
+        return out
 
     # ------------------------------------------------------------------
     # Sparse 3-d tensor kernels (SpMTTKRP / SpTTMc)

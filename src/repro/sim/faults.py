@@ -30,6 +30,12 @@ When every rate is 0.0 and no forced faults are listed the plan is
 disabled and the simulator takes its exact pre-fault arithmetic path, so
 reports are bit-identical to a run with no plan at all (asserted by the
 test suite).
+
+A launch answered from a cached fault-free report
+(:meth:`repro.sim.Tensaurus.replay`) still draws its faults:
+:meth:`FaultState.replay_run` walks the same abort and lane-dropout
+streams and declines whenever the live run would fault, so memoized
+callers see the fault timeline of a fully live run.
 """
 
 from __future__ import annotations
@@ -359,12 +365,14 @@ class RunFaultContext:
             self.events.append(FaultEvent(kind, location, detected, info))
 
     # ------------------------------------------------------------------
+    def aborts(self) -> bool:
+        """Whether this launch is drawn to abort (records nothing)."""
+        rate = self.plan.launch_abort_rate
+        return rate > 0 and float(self._draw(1, "abort")[0]) < rate
+
     def check_launch_abort(self) -> None:
         """Raise :class:`FaultError` when this launch is drawn to abort."""
-        rate = self.plan.launch_abort_rate
-        if rate <= 0:
-            return
-        if float(self._draw(1, "abort")[0]) < rate:
+        if self.aborts():
             self._event(LAUNCH_ABORT, ("run", self.run_index))
             raise FaultError(
                 f"injected launch abort (kernel={self.kernel}, "
@@ -511,3 +519,36 @@ class FaultState:
         ctx = RunFaultContext(self.plan, kernel, self.runs, self.epoch)
         self.runs += 1
         return ctx
+
+    @property
+    def replayable(self) -> bool:
+        """False when the plan draws faults per tile (SPM flips, HBM
+        stalls or outages): those draws need the launch's tile schedule,
+        so no launch can be answered from a cached report."""
+        plan = self.plan
+        return plan is None or not (
+            plan.spm_bitflip_rate > 0
+            or plan.hbm_stall_rate > 0
+            or plan.hbm_outage_rate > 0
+        )
+
+    def replay_run(self, kernel: str, rows: int) -> Optional[Dict[str, int]]:
+        """Account for one launch answered from a fault-free cached report.
+
+        Draws the launch's abort and lane-dropout faults from the same
+        ``(kernel, run index, epoch)`` stream :meth:`begin_run` gives a
+        live run. A clean launch consumes its run slot and gets back the
+        ``SimReport.faults`` mapping the live run would report. ``None``
+        means the launch would draw a fault, or the plan is not
+        :attr:`replayable`; the slot is left for the live run the caller
+        must then make, which redraws the identical faults.
+        """
+        if not self.enabled:
+            return {}
+        if not self.replayable:
+            return None
+        ctx = RunFaultContext(self.plan, kernel, self.runs, self.epoch)
+        if ctx.aborts() or ctx.active_lanes(rows) < rows:
+            return None
+        self.runs += 1
+        return ctx.finish()

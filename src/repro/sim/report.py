@@ -19,6 +19,9 @@ class SimReport:
     fault-injection layer's accounting (injected faults, detection cost,
     replay/recovery cycles) and is empty on fault-free runs;
     ``fault_events`` carries the typed per-fault records (capped per run).
+    ``phase_cycles`` is observational: the launch's cycles by phase as
+    reported to the tracer, kept only when the launch ran observed, so
+    a replay of the report can be reported the same way.
     """
 
     kernel: str
@@ -32,6 +35,9 @@ class SimReport:
     detail: Dict[str, float] = field(default_factory=dict)
     faults: Dict[str, int] = field(default_factory=dict)
     fault_events: List[FaultEvent] = field(default_factory=list)
+    phase_cycles: Optional[Dict[str, int]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def total_bytes(self) -> int:
@@ -66,6 +72,16 @@ class SimReport:
         """Cycles this run spent on fault detection and recovery: the
         difference to the fault-free schedule of the same workload."""
         return int(self.faults.get("fault_overhead_cycles", 0))
+
+    @property
+    def fault_free(self) -> bool:
+        """True when the fault layer added nothing to this launch: no
+        fault events and no detection or recovery cost, so its numbers
+        are the clean schedule's (``active_lanes`` is a lane count, not
+        a fault)."""
+        return not self.fault_events and not any(
+            v for k, v in self.faults.items() if k != "active_lanes"
+        )
 
     @property
     def fault_free_cycles(self) -> int:

@@ -21,6 +21,7 @@ from repro.datasets.generators import graph_matrix, random_sparse_tensor
 from repro.formats.csr import CSRMatrix
 from repro.sim import Tensaurus
 from repro.sim.faults import FaultPlan
+from repro.util.errors import FaultError
 from repro.util.rng import make_rng
 
 
@@ -172,6 +173,32 @@ def test_fault_plans_bypass_the_cache(store):
     acc.run_mttkrp(tensor, b, c)
     acc.run_mttkrp(tensor, b, c)
     assert store.hits == 0 and store.misses == 0
+
+
+@pytest.mark.parametrize("plan", [
+    FaultPlan(),
+    FaultPlan(forced_shard_kills=((0, 0.5),)),
+    FaultPlan(seed=2, launch_abort_rate=0.3),
+])
+def test_launch_level_plans_replay_through_the_cache(store, plan):
+    tensor, b, c = small_case()
+    acc = MemoizedTensaurus(Tensaurus(fault_plan=plan), store)
+    twin = Tensaurus(fault_plan=plan)
+
+    def outcome(accelerator):
+        try:
+            r = accelerator.run_mttkrp(tensor, b, c)
+        except FaultError as exc:
+            return str(exc)
+        return (r.cycles, r.detail, r.faults, r.fault_events,
+                r.output.tobytes())
+
+    got = [outcome(acc) for _ in range(12)]
+    assert got == [outcome(twin) for _ in range(12)]
+    assert acc.fault_state.runs == twin.fault_state.runs
+    # Every launch after the first clean one loads its stored report.
+    stored_at = next(i for i, o in enumerate(got) if not isinstance(o, str))
+    assert store.misses == 1 and store.hits == 11 - stored_at
 
 
 # ---------------------------------------------------------------- baselines

@@ -148,6 +148,23 @@ class TestRepoArtifacts:
         assert "trace_reconciles" in figures["BENCH_fleet"]
         assert "observed_run_identical" in figures["BENCH_fleet"]
 
+    def test_resilience_figures_gated(self, tmp_path):
+        artifacts = collect_artifacts(str(REPO_ROOT))
+        assert set(collect_figures(artifacts)["BENCH_resilience"]) == {
+            "overhead.baseline_cycles", "overhead.rate_zero_identical",
+            "overhead.replay_identical", "overhead.overhead_monotone",
+            "degraded_lanes.degradation_graceful",
+            "cp_resume.factors_match", "cp_resume.trace_match",
+        }
+        doctored = json.loads(json.dumps(artifacts["BENCH_resilience"]))
+        doctored["overhead"]["baseline_cycles"] += 1
+        doctored["cp_resume"]["trace_match"] = False
+        (tmp_path / "BENCH_resilience.json").write_text(json.dumps(doctored))
+        report = sentinel.run(str(tmp_path), baseline_dir=str(REPO_ROOT))
+        assert {r[1] for r in report.regressions} == {
+            "overhead.baseline_cycles", "cp_resume.trace_match",
+        }
+
     def test_injected_regression_is_flagged(self, tmp_path):
         artifacts = collect_artifacts(str(REPO_ROOT))
         doctored = json.loads(json.dumps(artifacts["BENCH_fleet"]))
