@@ -98,8 +98,8 @@ class TensaurusConfig:
     #: operand). False falls back to the per-tile CISS-encode-and-analyze
     #: reference engine — bit-identical timing, for debugging.
     batch_tiles: bool = True
-    #: LRU capacity of the per-accelerator encoding cache (tile partitions,
-    #: permuted coordinates, batched lane statistics). 0 disables caching.
+    #: LRU capacity of the per-accelerator encoding cache (fiber plans,
+    #: tile partitions, batched lane statistics). 0 disables caching.
     encoding_cache_entries: int = 64
     #: optional fault-injection plan (see :mod:`repro.sim.faults`). ``None``
     #: or an all-zero-rate plan leaves every report bit-identical to the
