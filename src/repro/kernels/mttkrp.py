@@ -25,6 +25,7 @@ from repro.kernels.fibers import (
     check_plan,
     fiber_plan,
     fiber_sums,
+    rank_major_rows,
     scatter_rows,
 )
 from repro.kernels.linalg import khatri_rao
@@ -134,10 +135,11 @@ def mttkrp_sparse_factored(
         plan = fiber_plan(tensor, mode)
     else:
         check_plan(plan, tensor, mode)
-    tsr = fiber_sums(plan, mat_c)
+    tsr = fiber_sums(plan, mat_c).T  # (F, fibers)
     # OSR phase: Hadamard with B(j,:) and accumulate per slice i.
-    tsr *= mat_b[plan.fiber_j, :]
-    return scatter_rows(plan.fiber_i, tsr, plan.shape[0])
+    for part, b_rows in rank_major_rows(mat_b, plan.fiber_j):
+        tsr[:, part] *= b_rows
+    return scatter_rows(plan.fiber_i, tsr.T, plan.shape[0])
 
 
 def mttkrp_flops(

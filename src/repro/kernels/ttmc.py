@@ -22,6 +22,7 @@ from repro.kernels.fibers import (
     check_plan,
     fiber_plan,
     fiber_sums,
+    rank_major_rows,
     scatter_rows,
 )
 from repro.tensor import SparseTensor
@@ -139,9 +140,12 @@ def ttmc_sparse_factored(
         check_plan(plan, tensor, mode)
     num_rows = plan.shape[0]
     f1, f2 = mat_b.shape[1], mat_c.shape[1]
-    tsr = fiber_sums(plan, mat_c)  # (fibers, F2)
-    outer = mat_b[plan.fiber_j, :, None] * tsr[:, None, :]  # (fibers, F1, F2)
-    flat = scatter_rows(plan.fiber_i, outer.reshape(-1, f1 * f2), num_rows)
+    tsr = fiber_sums(plan, mat_c).T  # (F2, fibers)
+    outer = np.empty((f1, f2, tsr.shape[1]))  # B(j,:) ⊗ TSR per fiber
+    for part, b_rows in rank_major_rows(mat_b, plan.fiber_j):
+        np.multiply(b_rows[:, None, :], tsr[None, :, part],
+                    out=outer[:, :, part])
+    flat = scatter_rows(plan.fiber_i, outer.reshape(f1 * f2, -1).T, num_rows)
     return flat.reshape(num_rows, f1, f2)
 
 
