@@ -13,7 +13,12 @@ Measures three things and records them to ``BENCH_sim.json``:
 
 Timing isolates the simulator (``compute_output=False``): the functional
 reference kernels are shared by both engines and would only dilute the
-comparison. Run as ``PYTHONPATH=src python benchmarks/bench_sim_speed.py``.
+comparison. The CP-ALS runs are the exception: ALS needs every MTTKRP's
+output, so ``cp_als.cached_s`` also times the functional kernels. Run as
+``PYTHONPATH=src python benchmarks/bench_sim_speed.py``.
+
+``--check-baseline`` compares only like with like: it refuses a baseline
+measured with a different ``--quick`` setting or on other workload shapes.
 """
 
 from __future__ import annotations
@@ -275,6 +280,19 @@ def bench_sweep(workers=2):
     }
 
 
+def workload_shapes(results) -> dict:
+    """The run size and workload shapes a set of timings was measured on."""
+    def pick(section, keys):
+        return {k: results.get(section, {}).get(k) for k in keys}
+
+    return {
+        "quick": results.get("quick"),
+        "mttkrp": pick("mttkrp", ("shape", "nnz", "rank")),
+        "cp_als": pick("cp_als", ("shape", "nnz", "rank", "num_iters")),
+        "engines": pick("engines", ("workload",)),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -286,8 +304,9 @@ def main() -> int:
     )
     parser.add_argument(
         "--check-baseline", metavar="PATH", default=None,
-        help="compare against a committed BENCH_sim.json and fail on a "
-        ">2x wall-clock regression of the tracked timings",
+        help="compare against a committed BENCH_sim.json of the same run "
+        "size and workload shapes, and fail on a >2x wall-clock regression "
+        "of the tracked timings",
     )
     args = parser.parse_args()
 
@@ -351,9 +370,18 @@ def main() -> int:
 
     if args.check_baseline:
         baseline = json.loads(Path(args.check_baseline).read_text())
+        if workload_shapes(baseline) != workload_shapes(results):
+            print(
+                f"BASELINE MISMATCH: {args.check_baseline} was measured on "
+                f"{workload_shapes(baseline)}, this run on "
+                f"{workload_shapes(results)}; refusing to compare"
+            )
+            return 1
         tracked = [
             ("mttkrp.batched_cold_s", m["batched_cold_s"],
              baseline.get("mttkrp", {}).get("batched_cold_s")),
+            ("cp_als.cached_s", a["cached_s"],
+             baseline.get("cp_als", {}).get("cached_s")),
             ("engines.fast_total_s", e["fast_total_s"],
              baseline.get("engines", {}).get("fast_total_s")),
         ]
