@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,24 @@ def random_tensor(
     vals = rng.standard_normal(nnz) if standard else rng.random(nnz) + 0.1
     vals[vals == 0.0] = 1.0
     return SparseTensor(shape, coords, vals)
+
+
+def digest(*parts) -> str:
+    """sha256 over arrays (dtype, shape and bytes) and plain values (repr).
+
+    Callers pass Python scalars, not numpy ones, so the repr of a part
+    does not depend on which integer type a code path happened to return.
+    """
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(str(part.dtype).encode())
+            h.update(repr(part.shape).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"|")
+    return h.hexdigest()
 
 
 @pytest.fixture

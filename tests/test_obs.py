@@ -361,6 +361,43 @@ class TestInstrumentedSimulator:
             trace = ob.tracer.chrome_trace()
         validate_chrome_trace(trace)
 
+    def test_micro_mode_emits_pe_and_ciss_instants(self):
+        # A PE lane emits one ``pe.<event>`` instant per entry of the trace
+        # list it fills, at the same cycle; the event engine emits one
+        # ``ciss.entry`` instant per CISS entry, at its issue cycle.
+        from repro.formats import CISSTensor
+        from repro.sim import EventDrivenTensaurus
+        from repro.sim.costs import kernel_costs
+        from repro.sim.pe import PELane
+
+        tensor = random_tensor(seed=13)
+        cfg = TensaurusConfig(rows=3)
+        ciss = CISSTensor.from_sparse(tensor, cfg.rows)
+        costs = kernel_costs("spmttkrp", cfg, fiber_elems=4)
+        rng = make_rng(2)
+        c = rng.random((tensor.shape[2], 4))
+        b = rng.random((tensor.shape[1], 4))
+        out_shape = (tensor.shape[0], 4)
+        trace = []
+        PELane(costs, c, b).run_stream(ciss, 1, np.zeros(out_shape), trace=trace)
+        assert trace
+        with obs.observe(micro=True) as ob:
+            PELane(costs, c, b).run_stream(ciss, 1, np.zeros(out_shape))
+            instants = [e for e in ob.tracer.events if e["ph"] == "i"]
+        assert [
+            (e["ts"], e["name"], e["args"]["detail"]) for e in instants
+        ] == [(float(cyc), f"pe.{event}", d) for cyc, event, d in trace]
+
+        with obs.observe(micro=True) as ob:
+            res = EventDrivenTensaurus(cfg, costs, c, b).run(ciss, out_shape)
+            instants = [e for e in ob.tracer.events if e["ph"] == "i"]
+        assert [e["name"] for e in instants] == ["ciss.entry"] * ciss.num_entries
+        assert [e["args"]["entry"] for e in instants] == list(
+            range(ciss.num_entries)
+        )
+        stamps = [e["ts"] for e in instants]
+        assert stamps == sorted(set(stamps)) and stamps[-1] < res.cycles
+
 
 class TestHistogramQuantiles:
     def _hist(self, values, buckets=(0.01, 0.1, 1.0)):
