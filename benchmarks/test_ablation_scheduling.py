@@ -7,8 +7,6 @@ padding) and better lane balance, which is the load-balancing claim of
 Section 4.
 """
 
-from typing import List, Tuple
-
 import numpy as np
 import pytest
 
@@ -23,24 +21,28 @@ from benchmarks.conftest import record_result, run_once
 LANES = 8
 
 
-def round_robin_schedule(group_ids, group_start, num_lanes):
-    """The ablated scheduler: deal slices cyclically, ignoring load."""
-    assignment: List[List[Tuple[int, int, int]]] = [[] for _ in range(num_lanes)]
-    for pos, (gid, lo, hi) in enumerate(
-        zip(group_ids, group_start[:-1], group_start[1:])
-    ):
-        assignment[pos % num_lanes].append((int(gid), int(lo), int(hi)))
-    return assignment
+def round_robin_deal(costs, num_lanes):
+    """The ablated dealer: slice ``g`` goes to lane ``g % P``, ignoring load.
+
+    Returns each slice's lane and its first slot within that lane, the
+    contract of :func:`repro.formats.ciss.least_loaded_deal`.
+    """
+    lanes = np.arange(costs.shape[0], dtype=np.int64) % num_lanes
+    offsets = np.empty_like(lanes)
+    for lane in range(num_lanes):
+        mine = lanes == lane
+        offsets[mine] = np.cumsum(costs[mine]) - costs[mine]
+    return lanes, offsets
 
 
-def encode_with(scheduler, tensor, lanes):
-    """CISS-encode using an alternative scheduling policy."""
-    original = ciss_mod._schedule_groups
-    ciss_mod._schedule_groups = scheduler
+def encode_with(deal, tensor, lanes):
+    """CISS-encode using an alternative dealing policy."""
+    original = ciss_mod.least_loaded_deal
+    ciss_mod.least_loaded_deal = deal
     try:
         return CISSTensor.from_sparse(tensor, lanes)
     finally:
-        ciss_mod._schedule_groups = original
+        ciss_mod.least_loaded_deal = original
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +53,7 @@ def skewed_tensor():
 @pytest.fixture(scope="module")
 def comparison(skewed_tensor):
     least_loaded = CISSTensor.from_sparse(skewed_tensor, LANES)
-    round_robin = encode_with(round_robin_schedule, skewed_tensor, LANES)
+    round_robin = encode_with(round_robin_deal, skewed_tensor, LANES)
     return least_loaded, round_robin
 
 

@@ -72,40 +72,6 @@ def test_engine_agreement(agreement):
     render_and_check(agreement)
 
 
-def test_backend_bit_identity():
-    """fast/jit backends of the event engine match legacy exactly.
-
-    The fidelity *bands* above compare different timing models; the
-    execution *backends* of one model must agree bit for bit — cycles,
-    stall breakdown, and float output — or engine choice would change
-    results (tests/test_sim_fastpath.py sweeps the full grid; this pins
-    it on a benchmark-scale workload)."""
-    cfg = TensaurusConfig()
-    rng = make_rng(32)
-    tensor = random_sparse_tensor((400, 120, 100), 20_000, skew=0.8, seed=5)
-    b = rng.random((120, RANK))
-    c = rng.random((100, RANK))
-    ciss = CISSTensor.from_sparse(tensor, cfg.rows)
-    costs = kernel_costs("spmttkrp", cfg, fiber_elems=RANK)
-    results = {
-        eng: EventDrivenTensaurus(cfg, costs, fiber0=c, fiber1=b).run(
-            ciss, (400, RANK), engine=eng
-        )
-        for eng in ("legacy", "fast", "jit")
-    }
-    ref = results["legacy"]
-    for eng in ("fast", "jit"):
-        got = results[eng]
-        assert (
-            got.cycles, got.ops, got.bank_conflict_stalls,
-            got.msu_stalls, got.tlu_stall_cycles,
-        ) == (
-            ref.cycles, ref.ops, ref.bank_conflict_stalls,
-            ref.msu_stalls, ref.tlu_stall_cycles,
-        ), eng
-        assert got.output.tobytes() == ref.output.tobytes(), eng
-
-
 def test_fast_model_band():
     fm = FastModel()
     acc = Tensaurus()

@@ -128,10 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _obs_args(trace)
     trace.add_argument("--out", default="trace.json", help="trace JSON path")
     trace.add_argument(
-        "--micro", action="store_true",
-        help="also record per-record firehose events (large traces)",
-    )
-    trace.add_argument(
         "--check", action="store_true",
         help="validate the trace schema, reconcile phase cycles against the "
         "reports, and assert the run is bit-identical to an uninstrumented one",
@@ -582,7 +578,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
 
     baseline = _run_workload(args) if args.check else None
-    with obs.observe(micro=args.micro) as ob:
+    with obs.observe() as ob:
         reports = _run_workload(args)
         trace = ob.tracer.export_chrome(args.out)
         summary = ob.tracer.summary()

@@ -21,21 +21,17 @@ carries an explicit ``kind`` plane (header / nonzero / padding) so that the
 simulator and the decoders never rely on floating-point comparison, and so
 padding at the tail of short lanes is explicit and measurable.
 
-Two encoder engines produce bit-identical streams:
-
-- ``"fast"`` (the default) replays the least-loaded deal with an
-  integer-encoded heap (``load * num_lanes + lane``, so the heap minimum is
-  exactly the least-loaded / lowest-lane choice) and scatters all record
-  planes in one vectorized pass.
-- ``"legacy"`` is the original per-group reference encoder, kept selectable
-  via the ``engine=`` argument, :func:`set_encoder_engine`, or the
-  ``REPRO_ENCODER_ENGINE`` environment variable.
+The encoder replays the least-loaded deal with an integer-encoded heap
+(``load * num_lanes + lane``, so the heap minimum is exactly the
+least-loaded / lowest-lane choice) and scatters all record planes in one
+vectorized pass. :class:`CISSTensor` and :class:`CISSMatrix` look
+:func:`least_loaded_deal` up at call time, so an ablation can swap their
+dealing policy by patching that one module attribute.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -48,47 +44,6 @@ from repro.util.errors import FormatError, ShapeError
 KIND_HEADER = 0
 KIND_NNZ = 1
 KIND_PAD = 2
-
-_ENGINES = ("fast", "legacy")
-_default_engine = os.environ.get("REPRO_ENCODER_ENGINE", "fast")
-if _default_engine not in _ENGINES:
-    raise ValueError(
-        f"REPRO_ENCODER_ENGINE must be one of {_ENGINES}, not {_default_engine!r}"
-    )
-
-
-def default_encoder_engine() -> str:
-    """The engine used when ``encode(..., engine=None)``."""
-    return _default_engine
-
-
-def set_encoder_engine(engine: str) -> str:
-    """Select the process-wide default encoder engine; returns the previous one."""
-    global _default_engine
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, not {engine!r}")
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
-def _resolve_engine(engine: str | None) -> str:
-    """Validate/default an ``engine=`` argument (shared by all encoders)."""
-    if engine is None:
-        engine = _default_engine
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, not {engine!r}")
-    return engine
-
-
-def _resolve_ciss_engine(engine: str | None) -> str:
-    engine = _resolve_engine(engine)
-    if engine == "fast" and _schedule_groups is not _REFERENCE_SCHEDULER:
-        # An ablation has patched the scheduler seam; only the legacy
-        # encoder routes through it.
-        return "legacy"
-    return engine
-
 
 @dataclass(frozen=True)
 class LaneRecord:
@@ -176,7 +131,7 @@ class _CISSBase:
         """Decoded record tuple for one lane (headers, nonzeros, pads).
 
         The decode is materialized once per lane and cached on the stream
-        (the planes are immutable), so repeated calls — the PE interpreter,
+        (the planes are immutable), so repeated calls — ``PELane.run``,
         trace charts, tests — stop rebuilding per-entry Python objects.
         """
         if not 0 <= lane < self.num_lanes:
@@ -198,8 +153,8 @@ class _CISSBase:
     def lane_arrays(self, lane: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One lane's record columns as contiguous arrays (kinds, a, k, val).
 
-        The array form of :meth:`lane_records`, consumed by the vectorized
-        and jit PE paths: no per-record Python objects, just the four
+        The array form of :meth:`lane_records`, consumed by the PE lane and
+        the event engine: no per-record Python objects, just the four
         column vectors of length ``num_entries``. Cached per lane; the
         returned arrays are the cache — treat them as read-only.
         """
@@ -252,11 +207,11 @@ def least_loaded_deal(
 
     Groups are dealt in order; group ``g`` (costing ``costs[g]`` lane slots)
     goes to the currently least-loaded lane, ties broken toward the lowest
-    lane index — exactly the policy of :func:`_schedule_groups`. Returns
+    lane index. Returns
     ``(g_lane, g_off)``: the lane each group landed on and the entry row of
     its first slot (its running offset within that lane).
 
-    Two fast strategies cover the real cases:
+    Two strategies cover the real cases:
 
     - **uniform costs** (every group the same size, e.g. dense rows or
       rank-``r`` tile groups): the deal degenerates to round-robin —
@@ -293,80 +248,6 @@ def least_loaded_deal(
     return enc % num_lanes, enc // num_lanes
 
 
-def _schedule_groups(
-    group_ids: np.ndarray,
-    group_start: np.ndarray,
-    num_lanes: int,
-) -> List[List[Tuple[int, int, int]]]:
-    """Deal groups (slices/rows) to lanes with the least-loaded policy.
-
-    Returns, per lane, a list of ``(group_id, lo, hi)`` record ranges in
-    assignment order. ``group_ids`` are the nonempty group indices in
-    increasing order; ``group_start`` brackets each group's records. A
-    group costs ``1 + (hi - lo)`` lane slots (header + nonzeros).
-    """
-    if num_lanes <= 0:
-        raise ShapeError("num_lanes must be positive")
-    loads = np.zeros(num_lanes, dtype=np.int64)
-    assignment: List[List[Tuple[int, int, int]]] = [[] for _ in range(num_lanes)]
-    for gid, lo, hi in zip(group_ids, group_start[:-1], group_start[1:]):
-        lane = int(np.argmin(loads))
-        loads[lane] += 1 + int(hi - lo)
-        assignment[lane].append((int(gid), int(lo), int(hi)))
-    return assignment
-
-
-_REFERENCE_SCHEDULER = _schedule_groups
-
-
-def _build_planes(
-    num_lanes: int,
-    assignment: List[List[Tuple[int, int, int]]],
-    a_src: np.ndarray,
-    k_src: np.ndarray | None,
-    val_src: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Materialize the record planes from a lane assignment (legacy engine).
-
-    ``assignment[lane]`` lists ``(group_id, lo, hi)`` record ranges;
-    ``a_src``/``k_src``/``val_src`` are the source columns nonzero records
-    draw from (indexed by record position ``lo..hi``).
-    """
-    depth = max(
-        (sum(1 + hi - lo for _, lo, hi in asg) for asg in assignment),
-        default=0,
-    )
-    kinds = np.full((depth, num_lanes), KIND_PAD, dtype=np.uint8)
-    a_idx = np.full((depth, num_lanes), -1, dtype=np.int64)
-    k_idx = np.full((depth, num_lanes), -1, dtype=np.int64)
-    vals = np.zeros((depth, num_lanes), dtype=np.float64)
-    for lane, asg in enumerate(assignment):
-        if not asg:
-            continue
-        gids = np.array([g for g, _, _ in asg], dtype=np.int64)
-        los = np.array([lo for _, lo, _ in asg], dtype=np.int64)
-        his = np.array([hi for _, _, hi in asg], dtype=np.int64)
-        seg = 1 + his - los
-        ends = np.cumsum(seg)
-        starts = ends - seg  # header slot of each group
-        kinds[starts, lane] = KIND_HEADER
-        a_idx[starts, lane] = gids
-        total = int(ends[-1])
-        mask = np.ones(total, dtype=bool)
-        mask[starts] = False
-        pos = np.flatnonzero(mask)
-        if pos.size:
-            src = np.concatenate(
-                [np.arange(lo, hi, dtype=np.int64) for lo, hi in zip(los, his)]
-            )
-            kinds[pos, lane] = KIND_NNZ
-            a_idx[pos, lane] = a_src[src]
-            if k_src is not None:
-                k_idx[pos, lane] = k_src[src]
-            vals[pos, lane] = val_src[src]
-    return kinds, a_idx, k_idx, vals
-
-
 def _contiguous_groups(
     leading: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -374,8 +255,7 @@ def _contiguous_groups(
 
     Returns ``(group_ids, group_first, group_sizes)`` where ``group_first``
     is each run's first record position. Records are canonically sorted, so
-    every nonempty slice/row is exactly one run, in increasing id order —
-    the same group sequence the legacy encoder derives from nnz counts.
+    every nonempty slice/row is exactly one run, in increasing id order.
     """
     n = int(leading.shape[0])
     if n == 0:
@@ -389,23 +269,23 @@ def _contiguous_groups(
     return leading[first], first, sizes
 
 
-def _build_planes_fast(
+def _build_planes(
     num_lanes: int,
-    group_ids: np.ndarray,
-    group_first: np.ndarray,
-    group_sizes: np.ndarray,
+    leading: np.ndarray,
     a_src: np.ndarray,
     k_src: np.ndarray | None,
     val_src: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized plane build: heap deal + one scatter per plane.
+    """Vectorized plane build: deal the groups, then one scatter per plane.
 
-    Bit-identical to ``_schedule_groups`` + ``_build_planes``: the deal
-    offsets *are* each lane's running cumsum (groups land on a lane in deal
-    order), so scattering header slots at ``(g_off, g_lane)`` and record
-    ``r`` of group ``g`` at ``(g_off + 1 + r, g_lane)`` reproduces the
-    legacy layout exactly, including tail padding.
+    ``leading`` is the sorted slice/row column that groups the records;
+    ``a_src``/``k_src``/``val_src`` are the columns nonzero records carry.
+    The deal offsets *are* each lane's running slot count (groups land on
+    a lane in deal order), so the header of group ``g`` goes to
+    ``(g_off, g_lane)`` and its record ``r`` to ``(g_off + 1 + r,
+    g_lane)``. Lanes shorter than the deepest one are padded at the tail.
     """
+    group_ids, group_first, group_sizes = _contiguous_groups(leading)
     g_lane, g_off = least_loaded_deal(1 + group_sizes, num_lanes)
     num_groups = int(group_ids.shape[0])
     depth = int((g_off + 1 + group_sizes).max()) if num_groups else 0
@@ -450,19 +330,13 @@ class CISSTensor(_CISSBase):
 
     @classmethod
     def from_sparse(
-        cls,
-        tensor: SparseTensor,
-        num_lanes: int,
-        mode: int = 0,
-        engine: str | None = None,
+        cls, tensor: SparseTensor, num_lanes: int, mode: int = 0
     ) -> "CISSTensor":
         """Encode a 3-d sparse tensor, slicing along ``mode``.
 
         MTTKRP/TTMc along mode ``n`` iterate slices ``A(i, :, :)`` of that
         mode; the encoder permutes the tensor so the slice mode leads, then
-        deals slices to lanes least-loaded-first. ``engine`` selects the
-        vectorized (``"fast"``) or reference (``"legacy"``) encoder; both
-        produce bit-identical planes.
+        deals slices to lanes least-loaded-first.
         """
         if tensor.ndim != 3:
             raise ShapeError("CISSTensor stores 3-d tensors")
@@ -471,25 +345,8 @@ class CISSTensor(_CISSBase):
         rest = [m for m in range(3) if m != mode]
         perm = tensor if mode == 0 else tensor.permute_modes([mode] + rest)
         coords = perm.coords
-        if _resolve_ciss_engine(engine) == "fast":
-            group_ids, group_first, group_sizes = _contiguous_groups(coords[:, 0])
-            planes = _build_planes_fast(
-                num_lanes, group_ids, group_first, group_sizes,
-                coords[:, 1], coords[:, 2], perm.values,
-            )
-            return cls(tensor.shape, num_lanes, *planes, mode=mode)
-        counts = perm.slice_nnz_counts(0)
-        nonempty = np.flatnonzero(counts)
-        starts = np.zeros(perm.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        group_start = (
-            np.append(starts[nonempty], perm.nnz)
-            if nonempty.size
-            else np.array([0], dtype=np.int64)
-        )
-        assignment = _schedule_groups(nonempty, group_start, num_lanes)
         planes = _build_planes(
-            num_lanes, assignment, coords[:, 1], coords[:, 2], perm.values
+            num_lanes, coords[:, 0], coords[:, 1], coords[:, 2], perm.values
         )
         return cls(tensor.shape, num_lanes, *planes, mode=mode)
 
@@ -543,27 +400,8 @@ class CISSMatrix(_CISSBase):
     index_fields = 1
 
     @classmethod
-    def from_coo(
-        cls, coo: COOMatrix, num_lanes: int, engine: str | None = None
-    ) -> "CISSMatrix":
-        if _resolve_ciss_engine(engine) == "fast":
-            group_ids, group_first, group_sizes = _contiguous_groups(coo.rows)
-            planes = _build_planes_fast(
-                num_lanes, group_ids, group_first, group_sizes,
-                coo.cols, None, coo.vals,
-            )
-            return cls(coo.shape, num_lanes, *planes)
-        counts = coo.row_nnz_counts()
-        nonempty = np.flatnonzero(counts)
-        starts = np.zeros(coo.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        group_start = (
-            np.append(starts[nonempty], coo.nnz)
-            if nonempty.size
-            else np.array([0], dtype=np.int64)
-        )
-        assignment = _schedule_groups(nonempty, group_start, num_lanes)
-        planes = _build_planes(num_lanes, assignment, coo.cols, None, coo.vals)
+    def from_coo(cls, coo: COOMatrix, num_lanes: int) -> "CISSMatrix":
+        planes = _build_planes(num_lanes, coo.rows, coo.cols, None, coo.vals)
         return cls(coo.shape, num_lanes, *planes)
 
     @classmethod

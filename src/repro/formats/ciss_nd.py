@@ -27,8 +27,6 @@ from repro.formats.ciss import (
     KIND_NNZ,
     KIND_PAD,
     _contiguous_groups,
-    _resolve_ciss_engine,
-    _schedule_groups,
     least_loaded_deal,
 )
 from repro.tensor import SparseTensor
@@ -120,16 +118,14 @@ class CISSTensorND:
     # ------------------------------------------------------------------
     @classmethod
     def from_sparse(
-        cls,
-        tensor: SparseTensor,
-        num_lanes: int,
-        mode: int = 0,
-        engine: str | None = None,
+        cls, tensor: SparseTensor, num_lanes: int, mode: int = 0
     ) -> "CISSTensorND":
         """Encode, slicing along ``mode``; remaining modes keep their order.
 
-        ``engine`` selects the vectorized (``"fast"``) or reference
-        (``"legacy"``) encoder; both produce bit-identical planes.
+        Same construction as :func:`repro.formats.ciss._build_planes` (deal
+        the slices least-loaded-first, then one scatter per plane) with an
+        ``(entries, lanes, ndim-1)`` index plane instead of the 3-d
+        ``a_idx``/``k_idx`` pair.
         """
         ndim = tensor.ndim
         if ndim < 2:
@@ -138,65 +134,6 @@ class CISSTensorND:
             raise ShapeError(f"slice mode {mode} out of range")
         rest = [m for m in range(ndim) if m != mode]
         perm = tensor if mode == 0 else tensor.permute_modes([mode] + rest)
-        if _resolve_ciss_engine(engine) == "fast":
-            return cls._from_sparse_fast(tensor, perm, num_lanes, mode)
-        counts = perm.slice_nnz_counts(0)
-        nonempty = np.flatnonzero(counts)
-        starts = np.zeros(perm.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        group_start = (
-            np.append(starts[nonempty], perm.nnz)
-            if nonempty.size
-            else np.array([0], dtype=np.int64)
-        )
-        assignment = _schedule_groups(nonempty, group_start, num_lanes)
-        coords = perm.coords
-        depth = max(
-            (sum(1 + hi - lo for _g, lo, hi in asg) for asg in assignment),
-            default=0,
-        )
-        kinds = np.full((depth, num_lanes), KIND_PAD, dtype=np.uint8)
-        idx = np.full((depth, num_lanes, ndim - 1), -1, dtype=np.int64)
-        vals = np.zeros((depth, num_lanes), dtype=np.float64)
-        for lane, asg in enumerate(assignment):
-            if not asg:
-                continue
-            gids = np.array([g for g, _lo, _hi in asg], dtype=np.int64)
-            los = np.array([lo for _g, lo, _hi in asg], dtype=np.int64)
-            his = np.array([hi for _g, _lo, hi in asg], dtype=np.int64)
-            seg = 1 + his - los
-            ends = np.cumsum(seg)
-            heads = ends - seg
-            kinds[heads, lane] = KIND_HEADER
-            idx[heads, lane, 0] = gids
-            total = int(ends[-1])
-            mask = np.ones(total, dtype=bool)
-            mask[heads] = False
-            pos = np.flatnonzero(mask)
-            if pos.size:
-                src = np.concatenate(
-                    [np.arange(lo, hi, dtype=np.int64) for lo, hi in zip(los, his)]
-                )
-                kinds[pos, lane] = KIND_NNZ
-                idx[pos, lane, :] = coords[src][:, 1:]
-                vals[pos, lane] = perm.values[src]
-        return cls(tensor.shape, mode, num_lanes, kinds, idx, vals)
-
-    @classmethod
-    def _from_sparse_fast(
-        cls,
-        tensor: SparseTensor,
-        perm: SparseTensor,
-        num_lanes: int,
-        mode: int,
-    ) -> "CISSTensorND":
-        """Vectorized encoder: heap deal + one scatter per plane.
-
-        Same construction as :func:`repro.formats.ciss._build_planes_fast`
-        with an ``(entries, lanes, ndim-1)`` index plane instead of the
-        3-d ``a_idx``/``k_idx`` pair; bit-identical to the legacy loop.
-        """
-        ndim = tensor.ndim
         coords = perm.coords
         group_ids, group_first, group_sizes = _contiguous_groups(coords[:, 0])
         g_lane, g_off = least_loaded_deal(1 + group_sizes, num_lanes)

@@ -13,7 +13,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.formats.ciss import _resolve_engine
 from repro.tensor import SparseTensor
 from repro.util.errors import FormatError, ShapeError
 
@@ -73,16 +72,9 @@ class CSFTensor:
 
     @classmethod
     def from_sparse(
-        cls,
-        tensor: SparseTensor,
-        mode_order: Sequence[int] | None = None,
-        engine: str | None = None,
+        cls, tensor: SparseTensor, mode_order: Sequence[int] | None = None
     ) -> "CSFTensor":
-        """Build a CSF tree; default mode order is natural (0, 1, ..., N-1).
-
-        ``engine`` selects the vectorized (``"fast"``) or reference
-        (``"legacy"``) builder; both produce bit-identical level arrays.
-        """
+        """Build a CSF tree; default mode order is natural (0, 1, ..., N-1)."""
         ndim = tensor.ndim
         if mode_order is None:
             mode_order = tuple(range(ndim))
@@ -99,51 +91,33 @@ class CSFTensor:
             fids = [np.empty(0, dtype=np.int64) for _ in range(ndim)]
             fptr = [np.zeros(1, dtype=np.int64) for _ in range(ndim - 1)]
             return cls(tensor.shape, mode_order, fptr, fids, vals)
-        if _resolve_engine(engine) == "fast" and ndim > 1:
-            # Canonical coordinates are unique and sorted, so the full
-            # prefix changes at every record: the leaf level is exactly
-            # ``coords[:, -1]`` with one child per record, and only the
-            # ``ndim - 1`` interior levels need change-flag scans. Level-
-            # major flags keep each scan contiguous, and a running OR turns
-            # per-mode changes into prefix changes.
-            prefix = np.empty((ndim - 1, nnz), dtype=bool)
-            prefix[:, 0] = True
-            for level in range(ndim - 1):
-                np.not_equal(
-                    coords[1:, level], coords[:-1, level], out=prefix[level, 1:]
-                )
-                if level > 0:
-                    prefix[level, 1:] |= prefix[level - 1, 1:]
-            child_starts = np.flatnonzero(prefix[0])
-            for level in range(ndim):
-                if level == 0:
-                    starts = child_starts
-                elif level < ndim - 1:
-                    starts = np.flatnonzero(prefix[level])
-                else:
-                    fids.append(coords[:, level].copy())
-                    fptr.append(
-                        np.append(child_starts, nnz).astype(np.int64)
-                    )
-                    break
-                fids.append(coords[starts, level])
-                if level > 0:
-                    ptr = np.searchsorted(starts, child_starts)
-                    ptr = np.append(ptr, starts.shape[0])
-                    fptr.append(ptr.astype(np.int64))
-                child_starts = starts
-            return cls(tensor.shape, mode_order, fptr, fids, vals)
-        # Walk levels top-down: at level l a new node starts whenever the
-        # coordinate prefix (modes 0..l in permuted order) changes.
-        prefix_change = np.zeros(nnz, dtype=bool)
-        prefix_change[0] = True
-        child_starts = np.flatnonzero(prefix_change)  # level -1 boundary
+        if ndim == 1:
+            # The tree is its leaf level: one node per nonzero.
+            return cls(tensor.shape, mode_order, [], [coords[:, 0].copy()], vals)
+        # Canonical coordinates are unique and sorted, so the full prefix
+        # changes at every record: the leaf level is exactly
+        # ``coords[:, -1]`` with one child per record, and only the
+        # ``ndim - 1`` interior levels need change-flag scans. Level-major
+        # flags keep each scan contiguous, and a running OR turns per-mode
+        # changes into prefix changes.
+        prefix = np.empty((ndim - 1, nnz), dtype=bool)
+        prefix[:, 0] = True
+        for level in range(ndim - 1):
+            np.not_equal(
+                coords[1:, level], coords[:-1, level], out=prefix[level, 1:]
+            )
+            if level > 0:
+                prefix[level, 1:] |= prefix[level - 1, 1:]
+        child_starts = np.flatnonzero(prefix[0])
         for level in range(ndim):
-            changed = np.zeros(nnz, dtype=bool)
-            changed[0] = True
-            changed[1:] = coords[1:, level] != coords[:-1, level]
-            prefix_change |= changed
-            starts = np.flatnonzero(prefix_change)
+            if level == 0:
+                starts = child_starts
+            elif level < ndim - 1:
+                starts = np.flatnonzero(prefix[level])
+            else:
+                fids.append(coords[:, level].copy())
+                fptr.append(np.append(child_starts, nnz).astype(np.int64))
+                break
             fids.append(coords[starts, level])
             if level > 0:
                 # Parent pointers: position of each parent start within starts.

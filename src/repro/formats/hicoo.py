@@ -21,7 +21,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.formats.ciss import _resolve_engine
 from repro.tensor import SparseTensor
 from repro.util.errors import FormatError, ShapeError
 
@@ -76,14 +75,8 @@ class HiCOOTensor:
         return int(self.bidx.shape[0])
 
     @classmethod
-    def from_sparse(
-        cls, tensor: SparseTensor, block: int = 128, engine: str | None = None
-    ) -> "HiCOOTensor":
-        """Encode with aligned ``block``-sized cubes (power of two).
-
-        ``engine`` selects the vectorized (``"fast"``) or reference
-        (``"legacy"``) builder; both produce bit-identical arrays.
-        """
+    def from_sparse(cls, tensor: SparseTensor, block: int = 128) -> "HiCOOTensor":
+        """Encode with aligned ``block``-sized cubes (power of two)."""
         if block < 1 or block & (block - 1):
             raise FormatError("block size must be a positive power of two")
         coords = tensor.coords
@@ -97,57 +90,40 @@ class HiCOOTensor:
                 np.empty(0, dtype=np.float64),
             )
         shift = int(np.log2(block))
-        if _resolve_engine(engine) == "fast":
-            # Same linearized block key (and therefore the same stable total
-            # order) as the reference builder, but narrowed to the smallest
-            # dtype that holds it so NumPy's stable radix sort does fewer
-            # passes, and block coordinates gathered only at block starts.
-            total_blocks = 1
-            for size in tensor.shape:
-                total_blocks *= -(-size // block)
-            if total_blocks <= np.iinfo(np.int64).max:
-                key = np.zeros(tensor.nnz, dtype=np.int64)
-                for m, size in enumerate(tensor.shape):
-                    key *= -(-size // block)
-                    key += coords[:, m] >> shift
-                if total_blocks <= np.iinfo(np.int32).max:
-                    key = key.astype(np.int32)
-                order = np.argsort(key, kind="stable")
-                key_s = key[order]
-                boundary = np.ones(tensor.nnz, dtype=bool)
-                np.not_equal(key_s[1:], key_s[:-1], out=boundary[1:])
-                starts = np.flatnonzero(boundary)
-                bidx = coords[order[starts]] >> shift
-            else:
-                # Key would overflow int64: stable lexsort over the block
-                # coordinates induces the identical order without the key.
-                blocks = coords >> shift
-                order = np.lexsort(
-                    tuple(blocks[:, m] for m in range(ndim - 1, -1, -1))
-                )
-                blocks_s = blocks[order]
-                boundary = np.ones(tensor.nnz, dtype=bool)
-                np.any(blocks_s[1:] != blocks_s[:-1], axis=1, out=boundary[1:])
-                starts = np.flatnonzero(boundary)
-                bidx = blocks_s[starts]
-            bptr = np.append(starts, tensor.nnz).astype(np.int64)
-            eidx = coords[order] & (block - 1)
-            return cls(
-                tensor.shape, block, bptr, bidx, eidx, tensor.values[order]
-            )
         # Group by block: canonical COO order is element-lexicographic, so
-        # sort by linearized block id (stable, keeping within-block order).
-        blocks = coords >> shift
-        key = np.zeros(tensor.nnz, dtype=np.int64)
-        for m, size in enumerate(tensor.shape):
-            key = key * (-(-size // block)) + blocks[:, m]
-        order = np.argsort(key, kind="stable")
-        key_s = key[order]
-        boundary = np.ones(tensor.nnz, dtype=bool)
-        boundary[1:] = key_s[1:] != key_s[:-1]
-        starts = np.flatnonzero(boundary)
+        # a stable sort by linearized block id keeps within-block order.
+        # The key is narrowed to the smallest dtype that holds it (NumPy's
+        # stable radix sort then does fewer passes), and block coordinates
+        # are gathered only at block starts.
+        total_blocks = 1
+        for size in tensor.shape:
+            total_blocks *= -(-size // block)
+        if total_blocks <= np.iinfo(np.int64).max:
+            key = np.zeros(tensor.nnz, dtype=np.int64)
+            for m, size in enumerate(tensor.shape):
+                key *= -(-size // block)
+                key += coords[:, m] >> shift
+            if total_blocks <= np.iinfo(np.int32).max:
+                key = key.astype(np.int32)
+            order = np.argsort(key, kind="stable")
+            key_s = key[order]
+            boundary = np.ones(tensor.nnz, dtype=bool)
+            np.not_equal(key_s[1:], key_s[:-1], out=boundary[1:])
+            starts = np.flatnonzero(boundary)
+            bidx = coords[order[starts]] >> shift
+        else:
+            # Key would overflow int64: stable lexsort over the block
+            # coordinates induces the identical order without the key.
+            blocks = coords >> shift
+            order = np.lexsort(
+                tuple(blocks[:, m] for m in range(ndim - 1, -1, -1))
+            )
+            blocks_s = blocks[order]
+            boundary = np.ones(tensor.nnz, dtype=bool)
+            np.any(blocks_s[1:] != blocks_s[:-1], axis=1, out=boundary[1:])
+            starts = np.flatnonzero(boundary)
+            bidx = blocks_s[starts]
         bptr = np.append(starts, tensor.nnz).astype(np.int64)
-        bidx = blocks[order][starts]
         eidx = coords[order] & (block - 1)
         return cls(tensor.shape, block, bptr, bidx, eidx, tensor.values[order])
 

@@ -83,12 +83,8 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
         Rule(r"mttkrp\.identical", "gate"),
         Rule(r"cp_als\.cache_hit_speedup", "higher", 0.30),
         Rule(r"sweep\.deterministic", "gate"),
-        Rule(r"engines\.stages\.[a-z]+\.speedup", "higher", 0.40),
-        Rule(r"engines\.identical", "gate"),
     ),
     "BENCH_encoders": (
-        Rule(r"tensors\.[^.]+\.(ciss|csf|hicoo)\.speedup", "higher", 0.40),
-        Rule(r"tensors\.[^.]+\.(ciss|csf|hicoo)\.identical", "gate"),
         Rule(r"suite\.warm_speedup", "higher", 0.40),
     ),
     "BENCH_obs": (

@@ -9,20 +9,15 @@ Sections 5.2.3-5.2.5.
 
 Two execution engines share one timing model:
 
-- :class:`repro.sim.pe.PELane` — a per-record Python interpreter of one PE
-  row's lane stream; exact and functional, used by tests.
-- :class:`repro.sim.accelerator.Tensaurus` — the vectorized engine used by
-  the benchmarks; cycle counts match the lane interpreter exactly (asserted
-  in the test suite) and outputs are checked against the reference kernels.
+- :class:`repro.sim.pe.PELane` — one PE row replaying its lane stream,
+  with functional output, exact cycles and optional micro-event traces;
+  used by tests and the event engine.
+- :class:`repro.sim.accelerator.Tensaurus` — the tiled engine used by the
+  benchmarks; cycle counts match the PE lanes exactly (asserted in the
+  test suite) and outputs are checked against the reference kernels.
 """
 
 from repro.sim.config import TensaurusConfig, HBM_PRESET, DDR4_PRESET, MemoryConfig
-from repro.sim.engine import (
-    default_sim_engine,
-    jit_available,
-    resolve_sim_engine,
-    set_sim_engine,
-)
 from repro.sim.shm import SharedOperands
 from repro.sim.batch import (
     BatchTileStats,
@@ -63,10 +58,6 @@ from repro.sim.driver import (
 __all__ = [
     "TensaurusConfig",
     "MemoryConfig",
-    "default_sim_engine",
-    "jit_available",
-    "resolve_sim_engine",
-    "set_sim_engine",
     "SharedOperands",
     "BatchTileStats",
     "EncodingCache",

@@ -17,8 +17,8 @@ tile at once from the tile-sorted coordinate stream:
   bank-conflict stalls with ``np.bincount`` / ``np.add.reduceat`` segment
   reductions. The result is bit-identical to encoding each tile with
   :class:`repro.formats.CISSTensor` and analyzing it separately (asserted by
-  the test suite against both the vectorized analyzer and the exact
-  :mod:`repro.sim.pe` interpreter).
+  the test suite against both the vectorized analyzer and the
+  :mod:`repro.sim.pe` lane model).
 - :class:`EncodingCache` is an LRU memo keyed by ``(operand fingerprint,
   shape, mode, tiling geometry, lanes, cost table)`` so repeated invocations —
   the three MTTKRPs per CP-ALS iteration, the two ``_resolve_msu_mode``
@@ -84,7 +84,7 @@ class TensorTilePartition:
     Tile ids are computed eagerly — the MSU-mode traffic estimates only
     need unique-tile counts — while the tile-sorted order, boundaries and
     slice-group structure are computed lazily, once, when the run needs
-    them. The sort and grouping match the legacy per-tile path exactly.
+    them. The sort and grouping match the per-tile path exactly.
     """
 
     def __init__(
@@ -275,7 +275,7 @@ def _greedy_lane_deal(
     tile boundary (``tg_start`` marks each tile's first group). Returns
     each group's lane and its start offset (the header slot) within that
     lane's stream. Ties break to the lowest lane index, matching
-    ``repro.formats.ciss._schedule_groups``.
+    :func:`repro.formats.ciss.least_loaded_deal`.
 
     The deal is sequential *within* a tile but independent *across* tiles,
     so the wide-fan-out case — many tiles, few groups each — steps over

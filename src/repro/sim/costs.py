@@ -1,8 +1,8 @@
 """Per-record timing and operation costs of the PE dataflow (Section 5.2.4).
 
-Both simulator engines (the exact per-record lane interpreter and the
-vectorized array engine) draw their constants from :class:`KernelCosts`, so
-they are cycle-identical by construction. The costs encode the paper's PE
+Every simulator engine (the PE lane model, the event engine and the tiled
+array engine) draws its constants from :class:`KernelCosts`, so the lane
+model and the tiled engine are cycle-identical by construction. The costs encode the paper's PE
 behaviour:
 
 - Every lane record costs ``cycles_per_record`` (one SPM access cycle plus

@@ -23,64 +23,18 @@ cycle in Python); the production engines handle the benchmark scale.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.formats.ciss import KIND_HEADER, KIND_NNZ, KIND_PAD
+from repro.formats.ciss import KIND_HEADER, KIND_PAD
 from repro.sim.config import TensaurusConfig
 from repro.sim.costs import KernelCosts
-from repro.sim.engine import resolve_sim_engine
 from repro.sim.faults import HBM_STALL, MAX_EVENTS_PER_RUN, FaultEvent, FaultPlan
 from repro.sim.pe import lane_pass_arrays
 from repro.util.errors import SimulationError
-
-#: PE row states.
-_IDLE = "idle"
-_WAIT_FETCH = "wait_fetch"  # waiting for an SPM bank grant (fiber0 row)
-_MAC = "mac"  # executing the VVMUL/VVADD of a record
-_WAIT_FOLD_FETCH = "wait_fold_fetch"  # waiting for the fiber1 row grant
-_FOLD = "fold"  # folding TSR into OSR
-_HEADER = "header"  # decoding a slice header
-_DRAIN = "drain"  # shifting the OSR out to the MSU
-
-
-@dataclass
-class _Record:
-    kind: int
-    a: int
-    k: int
-    val: float
-
-
-@dataclass
-class _RowState:
-    """One PE row's architectural state."""
-
-    queue: Deque[_Record] = field(default_factory=deque)
-    exhausted: bool = False  # TLU has no more records for this lane
-    state: str = _IDLE
-    busy: int = 0  # cycles remaining in the current state
-    current: Optional[_Record] = None
-    cur_slice: int = -1
-    cur_j: int = -1
-    tsr: Optional[np.ndarray] = None
-    osr: Optional[np.ndarray] = None
-    pending_fold_then: Optional[str] = None  # state to enter after a fold
-    cycles_busy: int = 0
-    stall_cycles: int = 0
-
-    def done(self) -> bool:
-        return (
-            self.exhausted
-            and not self.queue
-            and self.state == _IDLE
-            and self.tsr is None
-            and self.osr is None
-        )
 
 
 @dataclass
@@ -100,13 +54,16 @@ class EventSimResult:
 
 
 # ----------------------------------------------------------------------
-# Specialized timing loops for the fast engine. The per-cycle state
-# machine is the legacy one verbatim; the specialization only unrolls the
-# lane loop into local variables (no per-cycle list subscripts) and drops
-# the fault/micro-trace branches when a run cannot take them. Compiled
-# once per (lanes, fibers, stalls, micro) shape and cached for the
-# process. Integer state codes: 0=IDLE 1=WF 2=MAC 3=WFF 4=FOLD 5=HEADER
-# 6=DRAIN (WF/WFF = waiting on an SPM fetch/fold-fetch grant).
+# Specialized timing loops. Each cycle the TLU pushes one entry into the
+# lane queues (when every queue has room), idle rows dispatch their next
+# record, an SPM bank grants one fetch per cycle (lowest lane first) and
+# the MSU accepts one drain. The generator unrolls the lane loop into
+# local variables (no per-cycle list subscripts), skips runs of cycles
+# in which no lane can change state, and drops the fault/micro-trace
+# branches when a run cannot take them. Compiled once per (lanes,
+# fibers, stalls, micro) shape and cached for the process. Integer state
+# codes: 0=IDLE 1=WF 2=MAC 3=WFF 4=FOLD 5=HEADER 6=DRAIN (WF/WFF =
+# waiting on an SPM fetch/fold-fetch grant).
 _TIMING_LOOP_CACHE: Dict[Tuple[int, bool, bool, bool], object] = {}
 
 
@@ -413,224 +370,17 @@ class EventDrivenTensaurus:
             raise SimulationError(f"{costs.kernel} needs a fiber1 source")
 
     # ------------------------------------------------------------------
-    def run(
-        self, ciss, out_shape: Tuple[int, ...], engine: Optional[str] = None
-    ) -> EventSimResult:
+    def run(self, ciss, out_shape: Tuple[int, ...]) -> EventSimResult:
         """Execute a CISS tile (any object exposing kinds/a_idx/k_idx/vals
         planes) to completion.
 
-        ``engine`` selects the implementation (defaults to
-        :func:`repro.sim.engine.default_sim_engine`). The fast/jit path
-        runs the same cycle-accurate state machine over plain integers
-        (records never become Python objects, record arithmetic never
-        enters the clock loop) and computes the functional output with
-        the vectorized PE pass; cycles, stalls, fault accounting and
-        outputs are bit-identical to legacy. It requires each output
-        slice to belong to a single lane (the CISS deal guarantees this);
-        hand-built streams that violate it fall back to legacy.
+        The cycle loop steps plain integers (records never become Python
+        objects, record arithmetic never enters the clock loop); the
+        functional output comes from the vectorized PE pass. Lanes drain
+        concurrently, so each output slice must be headed on one lane
+        only (the CISS deal guarantees it) and a stream with entries must
+        have lanes; anything else raises :class:`SimulationError`.
         """
-        resolved = resolve_sim_engine(engine)
-        if resolved != "legacy":
-            fast = self._run_fast(ciss, out_shape, resolved)
-            if fast is not None:
-                return fast
-        kinds = np.asarray(ciss.kinds)
-        a_idx = np.asarray(ciss.a_idx)
-        k_idx = np.asarray(ciss.k_idx)
-        vals = np.asarray(ciss.vals)
-        entries, lanes = kinds.shape if kinds.ndim == 2 else (0, 0)
-        tracer = obs.tracer()
-        micro_issues: Optional[List[Tuple[int, int]]] = (
-            [] if tracer.micro else None
-        )
-        rows = [_RowState() for _ in range(lanes)]
-        out = np.zeros(out_shape, dtype=np.float64)
-        ops = 0
-        next_entry = 0
-        bank_stalls = 0
-        msu_stalls = 0
-        tlu_stalls = 0
-        cycle = 0
-        max_cycles = 1000 + self._cycle_budget(kinds)
-
-        # Deterministic per-entry HBM stall draws (fault layer).
-        plan = self.fault_plan
-        stall_flags = None
-        stall_cycles_each = 0
-        if plan is not None and plan.hbm_stall_rate > 0 and entries > 0:
-            stall_flags = (
-                plan.uniforms(entries, "event-hbm", entries)
-                < plan.hbm_stall_rate
-            )
-            stall_cycles_each = plan.hbm_stall_cycles
-            max_cycles += int(stall_flags.sum()) * stall_cycles_each
-        stall_remaining = 0
-        injected_stall_cycles = 0
-        fault_events: List[FaultEvent] = []
-
-        while True:
-            if entries == 0:
-                break
-            # --- TLU: push the next entry if every lane queue has space.
-            if next_entry < entries:
-                if stall_flags is not None and stall_flags[next_entry]:
-                    stall_flags[next_entry] = False
-                    stall_remaining += stall_cycles_each
-                    if len(fault_events) < MAX_EVENTS_PER_RUN:
-                        fault_events.append(
-                            FaultEvent(HBM_STALL, ("entry", int(next_entry)))
-                        )
-                if stall_remaining > 0:
-                    stall_remaining -= 1
-                    injected_stall_cycles += 1
-                elif all(len(r.queue) < self.queue_depth for r in rows):
-                    for lane in range(lanes):
-                        kind = int(kinds[next_entry, lane])
-                        if kind == KIND_PAD:
-                            continue
-                        rows[lane].queue.append(
-                            _Record(
-                                kind,
-                                int(a_idx[next_entry, lane]),
-                                int(k_idx[next_entry, lane]),
-                                float(vals[next_entry, lane]),
-                            )
-                        )
-                    if micro_issues is not None:
-                        micro_issues.append((cycle, next_entry))
-                    next_entry += 1
-                else:
-                    tlu_stalls += 1
-            else:
-                for r in rows:
-                    r.exhausted = True
-
-            # --- Dispatch phase (zero time): idle rows raise their next
-            # request or start their next multi-cycle state.
-            for r in rows:
-                if r.busy == 0 and r.state == _IDLE:
-                    self._dispatch(r)
-
-            # --- SPM arbitration: one grant per bank per cycle.
-            requests: Dict[int, List[int]] = {}
-            for lane, r in enumerate(rows):
-                if r.state in (_WAIT_FETCH, _WAIT_FOLD_FETCH) and r.busy == 0:
-                    bank = self._bank_of(r)
-                    requests.setdefault(bank, []).append(lane)
-            grants = set()
-            for bank, lanes_waiting in requests.items():
-                winner = min(lanes_waiting)  # fixed-priority arbiter
-                grants.add(winner)
-                bank_stalls += len(lanes_waiting) - 1
-
-            # --- Advance phase: one clock edge for every row; single MSU
-            # drain port per cycle.
-            msu_port_used = False
-            for lane, r in enumerate(rows):
-                if r.busy > 0:
-                    r.busy -= 1
-                    r.cycles_busy += 1
-                    if r.busy == 0:
-                        self._retire(r)
-                    continue
-                if r.state == _WAIT_FETCH:
-                    if lane in grants:
-                        r.cycles_busy += 1
-                        ops += self.costs.ops_per_nnz
-                        r.state = _MAC
-                        r.busy = self.costs.nnz_cycles - 1
-                        if r.busy == 0:
-                            self._retire(r)
-                    else:
-                        r.stall_cycles += 1
-                    continue
-                if r.state == _WAIT_FOLD_FETCH:
-                    if lane in grants:
-                        r.cycles_busy += 1
-                        ops += self.costs.ops_per_fold
-                        r.state = _FOLD
-                        r.busy = max(self.costs.fold_cycles - 1, 0)
-                        if r.busy == 0:
-                            self._retire(r)
-                    else:
-                        r.stall_cycles += 1
-                    continue
-                if r.state == _DRAIN:
-                    if msu_port_used:
-                        r.stall_cycles += 1
-                        msu_stalls += 1
-                    else:
-                        msu_port_used = True
-                        self._finish_drain(r, out)
-                    continue
-
-            cycle += 1
-            if all(r.done() for r in rows) and next_entry >= entries:
-                break
-            if cycle > max_cycles:
-                raise SimulationError(
-                    f"event simulation did not converge in {max_cycles} cycles"
-                )
-        busy = np.array([r.cycles_busy for r in rows], dtype=np.int64)
-        result = EventSimResult(
-            cycles=cycle,
-            ops=ops,
-            output=out,
-            bank_conflict_stalls=bank_stalls,
-            msu_stalls=msu_stalls,
-            tlu_stall_cycles=tlu_stalls,
-            lane_busy_cycles=busy,
-            injected_stall_cycles=injected_stall_cycles,
-            fault_events=fault_events,
-        )
-        self._emit_obs(result, entries, micro_issues, tracer)
-        return result
-
-    def _emit_obs(
-        self,
-        result: EventSimResult,
-        entries: int,
-        micro_issues: Optional[List[Tuple[int, int]]],
-        tracer,
-    ) -> None:
-        """Mirror one tile execution into the active tracer/registry.
-
-        Runs after the cycle loop so the loop itself is untouched; with a
-        micro-mode tracer every CISS-entry issue becomes a sim-track
-        instant at its issue cycle."""
-        reg = obs.metrics()
-        if reg.enabled:
-            reg.counter("event.tiles", "event-engine tile executions").inc()
-            reg.counter("event.cycles", "event-engine cycles").inc(result.cycles)
-            stalls = reg.counter(
-                "event.stall_cycles", "event-engine stalls by cause", ("cause",)
-            )
-            for cause, count in (
-                ("bank_conflict", result.bank_conflict_stalls),
-                ("msu", result.msu_stalls),
-                ("tlu", result.tlu_stall_cycles),
-                ("injected_hbm", result.injected_stall_cycles),
-            ):
-                if count:
-                    stalls.labels(cause=cause).inc(count)
-        if tracer.enabled:
-            if micro_issues:
-                # Before add_launch, so issue cycles land inside the
-                # not-yet-advanced launch span.
-                for at_cycle, entry in micro_issues:
-                    tracer.sim_instant(
-                        "ciss.entry", at_cycle, args={"entry": entry}
-                    )
-            tracer.add_launch(
-                f"event.{self.costs.kernel}", result.cycles,
-                args={"entries": entries, "ops": result.ops},
-            )
-
-    # ------------------------------------------------------------------
-    def _run_fast(
-        self, ciss, out_shape: Tuple[int, ...], resolved: str
-    ) -> Optional[EventSimResult]:
-        """Integer-only replay of the cycle loop; None means fall back."""
         kinds = np.asarray(ciss.kinds)
         a_idx = np.asarray(ciss.a_idx)
         k_idx = np.asarray(ciss.k_idx)
@@ -647,20 +397,29 @@ class EventDrivenTensaurus:
             )
             self._emit_obs(result, entries, [] if tracer.micro else None, tracer)
             return result
+        if lanes == 0:
+            raise SimulationError(
+                f"stream has {entries} entries but no lanes to run them"
+            )
 
-        # Lanes drain concurrently, so the functional scatter is only
-        # order-free when no two lanes own the same output slice (the
-        # CISS deal guarantees it; hand-built planes may not).
+        # The functional scatter is order-free only when no two lanes own
+        # the same output slice.
         hdr_r, hdr_l = np.nonzero(kinds == KIND_HEADER)
         if hdr_r.size:
             hdr_s = a_idx[hdr_r, hdr_l]
             order = np.lexsort((hdr_l, hdr_s))
             s_sorted = hdr_s[order]
             l_sorted = hdr_l[order]
-            if np.any(
-                (s_sorted[1:] == s_sorted[:-1]) & (l_sorted[1:] != l_sorted[:-1])
-            ):
-                return None
+            shared = (s_sorted[1:] == s_sorted[:-1]) & (
+                l_sorted[1:] != l_sorted[:-1]
+            )
+            if shared.any():
+                i = int(np.argmax(shared))
+                raise SimulationError(
+                    f"output slice {int(s_sorted[i])} is headed on lanes "
+                    f"{int(l_sorted[i])} and {int(l_sorted[i + 1])}; each "
+                    "slice must belong to one lane"
+                )
 
         # Functional output + per-lane op counting (vectorized; event
         # decode treats any non-header record as a nonzero).
@@ -715,52 +474,6 @@ class EventDrivenTensaurus:
             col_s.append(ca.astype(np.int64))
             col_b.append(key.astype(np.int64) % banks)
 
-        if resolved == "jit" and micro_issues is None:
-            from repro.sim.jit import event_timing
-
-            offsets = np.zeros(lanes + 1, dtype=np.int64)
-            np.cumsum([c.size for c in col_k], out=offsets[1:])
-            flags = (
-                stall_arr.astype(np.uint8)
-                if stall_arr is not None
-                else np.zeros(entries, dtype=np.uint8)
-            )
-            (
-                status, cycle, bank_stalls, msu_stalls, tlu_stalls,
-                injected, cycles_busy_arr, stalled, n_stalled,
-            ) = event_timing(
-                np.concatenate(col_k), np.concatenate(col_s),
-                np.concatenate(col_b), offsets,
-                np.ascontiguousarray(pc, dtype=np.int64), flags,
-                np.int64(stall_cycles_each), np.int64(self.queue_depth),
-                np.int64(banks), np.int64(1 if uses_fibers else 0),
-                np.int64(KIND_HEADER),
-                np.int64(costs.nnz_cycles), np.int64(costs.fold_cycles),
-                np.int64(costs.drain_cycles), np.int64(costs.header_cycles),
-                np.int64(max_cycles),
-            )
-            if status == 0:
-                raise SimulationError(
-                    f"event simulation did not converge in {max_cycles} cycles"
-                )
-            for e in stalled[: min(int(n_stalled), MAX_EVENTS_PER_RUN)]:
-                fault_events.append(FaultEvent(HBM_STALL, ("entry", int(e))))
-            result = EventSimResult(
-                cycles=int(cycle),
-                ops=ops,
-                output=out,
-                bank_conflict_stalls=int(bank_stalls),
-                msu_stalls=int(msu_stalls),
-                tlu_stall_cycles=int(tlu_stalls),
-                lane_busy_cycles=np.asarray(cycles_busy_arr, dtype=np.int64),
-                injected_stall_cycles=int(injected),
-                fault_events=fault_events,
-            )
-            self._emit_obs(result, entries, micro_issues, tracer)
-            return result
-
-        if lanes == 0:
-            return None
         stall_flags = None if stall_arr is None else stall_arr.tolist()
         loop = _timing_loop(
             lanes,
@@ -811,6 +524,46 @@ class EventDrivenTensaurus:
         self._emit_obs(result, entries, micro_issues, tracer)
         return result
 
+    def _emit_obs(
+        self,
+        result: EventSimResult,
+        entries: int,
+        micro_issues: Optional[List[Tuple[int, int]]],
+        tracer,
+    ) -> None:
+        """Mirror one tile execution into the active tracer/registry.
+
+        Runs after the cycle loop so the loop itself is untouched; with a
+        micro-mode tracer every CISS-entry issue becomes a sim-track
+        instant at its issue cycle."""
+        reg = obs.metrics()
+        if reg.enabled:
+            reg.counter("event.tiles", "event-engine tile executions").inc()
+            reg.counter("event.cycles", "event-engine cycles").inc(result.cycles)
+            stalls = reg.counter(
+                "event.stall_cycles", "event-engine stalls by cause", ("cause",)
+            )
+            for cause, count in (
+                ("bank_conflict", result.bank_conflict_stalls),
+                ("msu", result.msu_stalls),
+                ("tlu", result.tlu_stall_cycles),
+                ("injected_hbm", result.injected_stall_cycles),
+            ):
+                if count:
+                    stalls.labels(cause=cause).inc(count)
+        if tracer.enabled:
+            if micro_issues:
+                # Before add_launch, so issue cycles land inside the
+                # not-yet-advanced launch span.
+                for at_cycle, entry in micro_issues:
+                    tracer.sim_instant(
+                        "ciss.entry", at_cycle, args={"entry": entry}
+                    )
+            tracer.add_launch(
+                f"event.{self.costs.kernel}", result.cycles,
+                args={"entries": entries, "ops": result.ops},
+            )
+
     # ------------------------------------------------------------------
     def _cycle_budget(self, kinds: np.ndarray) -> int:
         """Generous convergence bound: every record fully serialized."""
@@ -822,90 +575,3 @@ class EventDrivenTensaurus:
             + 4
         )
         return int(kinds.size) * per_record + 64
-
-    def _bank_of(self, r: _RowState) -> int:
-        banks = self.config.spm_banks
-        if r.state == _WAIT_FOLD_FETCH:
-            return int(r.cur_j) % banks
-        key = r.current.k if self.costs.bank_key == "k" else r.current.a
-        return int(key) % banks
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, r: _RowState) -> None:
-        """Zero-time transition out of IDLE: raise a request or start a
-        multi-cycle state for this cycle's advance phase."""
-        costs = self.costs
-        if not r.queue:
-            if r.exhausted:
-                if costs.uses_fibers and r.tsr is not None:
-                    r.pending_fold_then = _IDLE
-                    r.state = _WAIT_FOLD_FETCH
-                elif r.osr is not None:
-                    r.state = _DRAIN
-            return
-        rec = r.queue[0]
-        if rec.kind == KIND_HEADER:
-            # Close the open fiber and slice before decoding the header.
-            if costs.uses_fibers and r.tsr is not None:
-                r.pending_fold_then = _IDLE
-                r.state = _WAIT_FOLD_FETCH
-                return
-            if r.osr is not None:
-                r.state = _DRAIN
-                return
-            r.queue.popleft()
-            r.cur_slice = rec.a
-            r.cur_j = -1
-            r.state = _HEADER
-            r.busy = costs.header_cycles
-            return
-        if r.cur_slice < 0:
-            raise SimulationError("nonzero record before any header")
-        if costs.uses_fibers and rec.a != r.cur_j and r.tsr is not None:
-            r.pending_fold_then = _IDLE
-            r.state = _WAIT_FOLD_FETCH
-            return
-        r.queue.popleft()
-        r.current = rec
-        if costs.uses_fibers:
-            r.cur_j = rec.a
-        r.state = _WAIT_FETCH
-
-    def _retire(self, r: _RowState) -> None:
-        """Architectural effects when a multi-cycle state completes."""
-        costs = self.costs
-        if r.state == _MAC:
-            rec = r.current
-            if costs.uses_fibers:
-                scaled = rec.val * self.fiber0[rec.k]
-                r.tsr = scaled if r.tsr is None else r.tsr + scaled
-            else:
-                contrib = rec.val * self.fiber0[rec.a]
-                r.osr = contrib if r.osr is None else r.osr + contrib
-            r.current = None
-            r.state = _IDLE
-            return
-        if r.state == _FOLD:
-            if costs.kernel in ("spttmc", "dttmc"):
-                contrib = np.outer(self.fiber1[r.cur_j][: self.f1_tile], r.tsr)
-            else:
-                contrib = self.fiber1[r.cur_j] * r.tsr
-            r.osr = contrib if r.osr is None else r.osr + contrib
-            r.tsr = None
-            r.state = r.pending_fold_then or _IDLE
-            r.pending_fold_then = None
-            return
-        if r.state in (_HEADER, _DRAIN):
-            r.state = _IDLE
-            return
-        raise SimulationError(f"cannot retire state {r.state}")
-
-    def _finish_drain(self, r: _RowState, out) -> None:
-        """Drain the OSR through the MSU port; extra shift cycles keep the
-        row busy afterwards."""
-        out[r.cur_slice] = out[r.cur_slice] + r.osr
-        r.osr = None
-        r.cycles_busy += 1
-        r.busy = self.costs.drain_cycles - 1
-        if r.busy == 0:
-            r.state = _IDLE

@@ -3,9 +3,9 @@
 Given the record planes of a CISS-encoded tile and a :class:`KernelCosts`
 table, compute per-lane cycle counts, fiber/slice structure, operation
 counts and SPM bank-conflict stalls — the quantities the accelerator model
-combines into per-tile timing. The exact per-record interpreter in
-:mod:`repro.sim.pe` implements the same semantics one record at a time; the
-test suite asserts the two agree cycle-for-cycle.
+combines into per-tile timing. The PE lane model in :mod:`repro.sim.pe`
+implements the same semantics one lane stream at a time; the test suite
+asserts the two agree cycle-for-cycle.
 """
 
 from __future__ import annotations

@@ -17,21 +17,19 @@ curve:
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.sim.config import MemoryConfig
-from repro.sim.engine import resolve_sim_engine
 from repro.util.errors import ConfigError
 
 Request = Tuple[int, int]  # (address, size in bytes)
 
 
 class StreamMemory:
-    """Cycle-driven single-channel DRAM service model."""
+    """Single-channel DRAM service model."""
 
     def __init__(self, config: MemoryConfig) -> None:
         self.config = config
@@ -52,94 +50,24 @@ class StreamMemory:
             else None
         )
 
-    def service_trace(
-        self,
-        trace: Sequence[Iterable[Request]],
-        engine: Optional[str] = None,
-    ) -> "TraceResult":
+    def service_trace(self, trace: Sequence[Iterable[Request]]) -> "TraceResult":
         """Run a per-cycle request trace to completion.
 
         ``trace[t]`` holds the requests all consumers issue at producer
         cycle ``t`` (the trace's cycle granularity is the memory clock).
         Consumers stall when the channel back-pressures, so the trace is
         elastic: cycle ``t``'s requests enter the queue no earlier than
-        cycle ``t`` and no earlier than when queue slots free up.
+        cycle ``t`` and no earlier than when queue slots free up. Each
+        cycle's requests coalesce into the distinct bursts they touch,
+        issued in burst order; a burst waits for a free MSHR slot, then
+        holds the data bus for ``burst_bytes / bytes_per_cycle`` cycles
+        and completes ``latency_cycles`` later.
 
-        ``engine`` selects the implementation (defaults to
-        :func:`repro.sim.engine.default_sim_engine`): the fast/jit path
-        replaces the per-cycle heap loop with vectorized burst coalescing
-        plus a scalar service recurrence, and is bit-identical to legacy
-        (the in-flight heap is provably FIFO, so one recurrence over the
-        burst sequence reproduces every ``max``/truncation exactly).
-        """
-        resolved = resolve_sim_engine(engine)
-        if resolved != "legacy":
-            return self._service_trace_fast(trace, resolved)
-        cfg = self.config
-        burst = cfg.burst_bytes
-        bus_bpc = cfg.bytes_per_cycle
-        latency = cfg.latency_cycles
-        reg = obs.metrics()
-        occupancy = self._occupancy_histogram(reg)
-        in_flight: List[int] = []  # completion times (min-heap)
-        bus_free = 0.0  # next cycle the data bus is free
-        now = 0
-        useful_bytes = 0
-        fetched_bytes = 0
-        with obs.tracer().span("hbm.service_trace", args={"cycles": len(trace)}):
-            for group in trace:
-                now += 1
-                # Coalesce this cycle's requests into distinct bursts.
-                bursts = set()
-                for addr, size in group:
-                    if size <= 0:
-                        raise ConfigError("request size must be positive")
-                    useful_bytes += size
-                    first = addr // burst
-                    last = (addr + size - 1) // burst
-                    bursts.update(range(first, last + 1))
-                for _burst_id in sorted(bursts):
-                    # Wait for an MSHR slot.
-                    while len(in_flight) >= cfg.max_outstanding:
-                        now = max(now, heapq.heappop(in_flight))
-                    if occupancy is not None:
-                        occupancy.observe(len(in_flight))
-                    # Occupy the data bus for the burst transfer.
-                    start = max(now, bus_free)
-                    bus_free = start + burst / bus_bpc
-                    heapq.heappush(
-                        in_flight, int(start + latency + burst / bus_bpc)
-                    )
-                    fetched_bytes += burst
-            # Drain.
-            while in_flight:
-                now = max(now, heapq.heappop(in_flight))
-            now = max(now, int(bus_free) + 1)
-        if reg.enabled:
-            reg.counter("hbm.useful_bytes", "consumer-visible bytes").inc(
-                useful_bytes
-            )
-            reg.counter("hbm.fetched_bytes", "bus bytes incl. burst waste").inc(
-                fetched_bytes
-            )
-        return TraceResult(
-            cycles=now,
-            useful_bytes=useful_bytes,
-            fetched_bytes=fetched_bytes,
-            clock_ghz=cfg.clock_ghz,
-        )
-
-    def _service_trace_fast(
-        self, trace: Sequence[Iterable[Request]], resolved: str
-    ) -> "TraceResult":
-        """Vectorized burst accounting, bit-identical to the legacy loop.
-
-        Completion times in the legacy heap are nondecreasing (issue
-        starts are monotone), so the heap is FIFO: burst ``j`` waits on
-        completion ``j - max_outstanding`` exactly. That turns the whole
-        loop into (a) one vectorized coalescing pass over all requests
-        and (b) a scalar recurrence over the resulting burst sequence,
-        with the same ``max``/int-truncation expressions as legacy.
+        Completion times are nondecreasing (issue starts are monotone),
+        so the MSHRs free up in FIFO order: burst ``j`` waits on
+        completion ``j - max_outstanding`` exactly. That turns the service
+        loop into (a) one vectorized coalescing pass over all requests and
+        (b) a scalar recurrence over the resulting burst sequence.
         """
         cfg = self.config
         burst = cfg.burst_bytes
@@ -178,8 +106,7 @@ class StreamMemory:
                 useful_bytes = int(size_a.sum())
                 # Expand each request into the burst range it touches,
                 # then coalesce per issue group: sort by (group, burst)
-                # and keep one fetch per distinct pair — the same
-                # sequence the legacy sorted-set walk produces.
+                # and keep one fetch per distinct pair.
                 first = addr_a // burst
                 counts = (addr_a + size_a - 1) // burst - first + 1
                 total = int(counts.sum())
@@ -197,29 +124,21 @@ class StreamMemory:
                 n_bursts = int(gseq.size)
                 fetched_bytes = n_bursts * burst
                 per_burst = burst / bus_bpc
-                if resolved == "jit":
-                    from repro.sim.jit import hbm_recurrence
-
-                    now, last_comp, bus_free = hbm_recurrence(
-                        np.asarray(gseq, dtype=np.int64),
-                        slots, latency, per_burst,
-                    )
-                else:
-                    # now carries the legacy chain exactly: one tick per
-                    # group entered (ticks compound on top of popped
-                    # completion times), then the FIFO pop at capacity.
-                    comp: List[int] = [0] * n_bursts
-                    now = 0
-                    prev_g = -1
-                    for j, g in enumerate(gseq.tolist()):
-                        now += g - prev_g
-                        prev_g = g
-                        if j >= slots and comp[j - slots] > now:
-                            now = comp[j - slots]
-                        start = now if now >= bus_free else bus_free
-                        comp[j] = int(start + latency + per_burst)
-                        bus_free = start + per_burst
-                    last_comp = comp[-1]
+                # The consumer clock ticks once per group entered (ticks
+                # compound on top of waited-for completion times), then
+                # waits for the oldest in-flight burst at capacity.
+                comp: List[int] = [0] * n_bursts
+                now = 0
+                prev_g = -1
+                for j, g in enumerate(gseq.tolist()):
+                    now += g - prev_g
+                    prev_g = g
+                    if j >= slots and comp[j - slots] > now:
+                        now = comp[j - slots]
+                    start = now if now >= bus_free else bus_free
+                    comp[j] = int(start + latency + per_burst)
+                    bus_free = start + per_burst
+                last_comp = comp[-1]
                 now += groups - 1 - int(gseq[-1])  # trailing burst-free groups
                 if occupancy is not None:
                     cap = slots - 1

@@ -1,29 +1,31 @@
-"""Exact per-record PE lane interpreter (Section 5.2.4, Fig. 5b).
+"""One PE row executing a CISS lane stream (Section 5.2.4, Fig. 5b).
 
-:class:`PELane` walks one lane's CISS record stream exactly as one PE row
+:class:`PELane` replays one lane's CISS record stream the way one PE row
 does: the TSR accumulates ``sum_D0 scalar * fiber0``, the fiber fold applies
 ``fiber1 op TSR`` into the OSR, and slice/row boundaries drain the OSR to
 the MSU. It produces both the *functional* result (accumulated into a dense
-output array) and the exact cycle count under the same
-:class:`~repro.sim.costs.KernelCosts` table the vectorized engine uses.
+output array) and the exact cycle count under the
+:class:`~repro.sim.costs.KernelCosts` table the other engines use, plus,
+on request, the ``(cycle, event, detail)`` micro-events of the walk.
 
-This is the ground truth the vectorized engine is validated against, and
-the component that demonstrates the CISS stream alone carries everything a
-PE needs (no centralized decode — the limitation of CISR that CISS lifts).
+It demonstrates that the CISS stream alone carries everything a PE needs
+(no centralized decode — the limitation of CISR that CISS lifts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.formats.ciss import KIND_HEADER, KIND_NNZ, KIND_PAD, LaneRecord
 from repro.sim.costs import KernelCosts
-from repro.sim.engine import resolve_sim_engine
 from repro.util.errors import SimulationError
+
+#: Micro-event names, indexed by event code.
+_EVENTS = ("header", "mac", "fold", "drain")
 
 
 def _segmented_sequential_sum(
@@ -31,11 +33,11 @@ def _segmented_sequential_sum(
 ) -> np.ndarray:
     """Left-to-right sum of ``contrib[starts[s]:ends[s]]`` per segment.
 
-    Bit-identical to the interpreter's accumulation chain: the first
-    element is *assigned* (not added to zero, which would flip -0.0) and
-    the rest are added one rank at a time — sequential within a segment,
-    vectorized across segments. ``np.add.reduceat`` is NOT a substitute:
-    its pairwise summation reorders long chains and breaks bit-identity.
+    The PE's accumulation chain: the first element is *assigned* (not
+    added to zero, which would flip -0.0) and the rest are added one rank
+    at a time — sequential within a segment, vectorized across segments.
+    ``np.add.reduceat`` is NOT a substitute: its pairwise summation
+    reorders long chains and changes the rounding.
     """
     lengths = ends - starts
     n = lengths.shape[0]
@@ -90,11 +92,11 @@ def lane_pass_arrays(
 ) -> "LaneRunResult":
     """Array-level replay of one lane's record stream.
 
-    Produces the same functional accumulation into ``out`` and the same
-    :class:`LaneRunResult` as the :class:`PELane` interpreter, replacing
-    the per-record loop with segmented reductions. Every floating-point
-    expression mirrors the interpreter's (same operand order, ordered
-    `np.add.at` scatter), so results are bit-identical.
+    Accumulates the lane's functional result into ``out`` and returns its
+    :class:`LaneRunResult`, with segmented reductions in place of a
+    per-record loop. Each TSR and OSR sums its terms left to right in
+    stream order, and drains scatter with the ordered, duplicate-safe
+    ``np.add.at``.
 
     ``strict_kinds=False`` reproduces the event engine's decode instead,
     which treats any non-header, non-pad record as a nonzero.
@@ -174,6 +176,59 @@ def lane_pass_arrays(
     )
 
 
+def lane_trace(
+    costs: KernelCosts, kinds: np.ndarray, a_idx: np.ndarray
+) -> List[Tuple[int, str, int]]:
+    """The ``(cycle, event, detail)`` micro-events of one lane's stream.
+
+    Every live record issues a ``header`` (detail: its slice) or a
+    ``mac`` (detail: its ``a`` index). The last nonzero of a fiber run is
+    followed by a ``fold`` (detail: the run's ``j``; fiber kernels only)
+    and the last nonzero of a slice by a ``drain`` (detail: the slice).
+    Each cycle stamp is the running cost total up to and including the
+    event. Expects a stream :func:`lane_pass_arrays` has already
+    validated.
+    """
+    kinds = np.asarray(kinds)
+    live = kinds != KIND_PAD
+    is_hdr = kinds[live] == KIND_HEADER
+    ca = np.asarray(a_idx)[live]
+    # One (record, code, detail) triple per event. The codes index
+    # _EVENTS and put a record's issue before its fold before its drain.
+    rec = [np.arange(is_hdr.size)]
+    code = [np.where(is_hdr, 0, 1)]
+    detail = [ca]
+    nnz_pos = np.flatnonzero(~is_hdr)
+    if nnz_pos.size:
+        # A run of equal keys ends where the next one starts.
+        seg = np.cumsum(is_hdr)[nnz_pos]
+        seg_end = np.append(_first_run_boundaries(seg)[1:], True)
+        if costs.uses_fibers:
+            j = ca[nnz_pos]
+            run_end = np.append(_first_run_boundaries(seg, j)[1:], True)
+            rec.append(nnz_pos[run_end])
+            code.append(np.full(int(run_end.sum()), 2))
+            detail.append(j[run_end])
+        rec.append(nnz_pos[seg_end])
+        code.append(np.full(int(seg_end.sum()), 3))
+        detail.append(ca[is_hdr][seg[seg_end] - 1])
+    codes = np.concatenate(code)
+    order = np.argsort(np.concatenate(rec) * 4 + codes)
+    codes = codes[order]
+    per_event = np.array(
+        [costs.header_cycles, costs.nnz_cycles, costs.fold_cycles,
+         costs.drain_cycles],
+        dtype=np.int64,
+    )
+    return list(
+        zip(
+            np.cumsum(per_event[codes]).tolist(),
+            [_EVENTS[c] for c in codes.tolist()],
+            np.concatenate(detail)[order].tolist(),
+        )
+    )
+
+
 @dataclass
 class LaneRunResult:
     """Timing and activity of one lane's execution."""
@@ -222,7 +277,6 @@ class PELane:
         records: Sequence[LaneRecord],
         out: np.ndarray,
         trace: Optional[list] = None,
-        engine: Optional[str] = None,
     ) -> LaneRunResult:
         """Execute the lane stream, accumulating results into ``out``.
 
@@ -230,140 +284,18 @@ class PELane:
         have the output-tile shape (F for MTTKRP/SpMM, (F1, F2) for TTMc,
         scalar per row for SpMV). When ``trace`` is a list, one
         ``(cycle, event, detail)`` tuple is appended per micro-event
-        (``header`` / ``mac`` / ``fold`` / ``drain``), giving a
-        cycle-by-cycle view of the PE for debugging and the trace tests.
-        An active micro-mode tracer (``Tracer(micro=True)``) collects the
-        same events onto its sim track without the caller passing a list.
-
-        ``engine`` selects the implementation (defaults to
-        :func:`repro.sim.engine.default_sim_engine`): ``"fast"``/``"jit"``
-        run the batched array path (bit-identical results), ``"legacy"``
-        the original per-record interpreter. Micro-event tracing needs
-        per-record stepping, so an active ``trace`` (or micro tracer)
-        always runs the interpreter.
+        (``header`` / ``mac`` / ``fold`` / ``drain``, see
+        :func:`lane_trace`), giving a cycle-by-cycle view of the PE for
+        debugging and the trace tests. An active micro-mode tracer
+        (``Tracer(micro=True)``) collects the same events onto its sim
+        track without the caller passing a list.
         """
-        costs = self.costs
-        tracer = obs.tracer()
-        if trace is None and tracer.micro:
-            trace = []
-        if trace is None and resolve_sim_engine(engine) != "legacy":
-            kinds = np.fromiter(
-                (rec.kind for rec in records), np.uint8, count=len(records)
-            )
-            a_idx = np.fromiter(
-                (rec.a for rec in records), np.int64, count=len(records)
-            )
-            k_idx = np.fromiter(
-                (rec.k for rec in records), np.int64, count=len(records)
-            )
-            vals = np.fromiter(
-                (rec.val for rec in records), np.float64, count=len(records)
-            )
-            return self.run_arrays(kinds, a_idx, k_idx, vals, out)
-
-        cycles = 0
-        ops = 0
-        nnz_records = headers = fibers = drains = 0
-        cur_slice = -1
-        cur_j = -1
-        tsr = None
-        osr = None
-
-        def emit(event: str, detail: int) -> None:
-            if trace is not None:
-                trace.append((cycles, event, detail))
-
-        def fold() -> None:
-            nonlocal osr, tsr, fibers, cycles, ops
-            if tsr is None:
-                return
-            fibers += 1
-            cycles += costs.fold_cycles
-            ops += costs.ops_per_fold
-            emit("fold", cur_j)
-            if costs.kernel in ("spttmc", "dttmc"):
-                contrib = np.outer(self.fiber1[cur_j][: self.f1_tile], tsr)
-            else:
-                contrib = self.fiber1[cur_j] * tsr
-            osr = contrib if osr is None else osr + contrib
-            tsr = None
-
-        def drain() -> None:
-            nonlocal osr, drains, cycles
-            if osr is None:
-                return
-            drains += 1
-            cycles += costs.drain_cycles
-            emit("drain", cur_slice)
-            out[cur_slice] = out[cur_slice] + osr
-            osr = None
-
-        for rec in records:
-            if rec.kind == KIND_PAD:
-                continue
-            if rec.kind == KIND_HEADER:
-                if costs.uses_fibers:
-                    fold()
-                drain()
-                cur_slice = rec.a
-                cur_j = -1
-                cycles += costs.header_cycles
-                headers += 1
-                emit("header", cur_slice)
-                continue
-            if rec.kind != KIND_NNZ:
-                raise SimulationError(f"unknown record kind {rec.kind}")
-            if cur_slice < 0:
-                raise SimulationError("nonzero record before any header")
-            if costs.uses_fibers and rec.a != cur_j:
-                fold()  # close the previous fiber before this record
-                cur_j = rec.a
-            nnz_records += 1
-            cycles += costs.nnz_cycles
-            ops += costs.ops_per_nnz
-            emit("mac", rec.a)
-            if costs.uses_fibers:
-                scaled = rec.val * self.fiber0[rec.k]
-                tsr = scaled if tsr is None else tsr + scaled
-            else:
-                # SpMM/SpMV: scalar * fiber0 accumulates straight into OSR.
-                contrib = rec.val * self.fiber0[rec.a]
-                osr = contrib if osr is None else osr + contrib
-        if costs.uses_fibers:
-            fold()
-        drain()
-        result = LaneRunResult(
-            cycles=cycles,
-            ops=ops,
-            nnz_records=nnz_records,
-            headers=headers,
-            fibers=fibers,
-            drains=drains,
-        )
-        self._emit_obs(result, trace if tracer.micro else None, tracer)
-        return result
-
-    def run_arrays(
-        self,
-        kinds: np.ndarray,
-        a_idx: np.ndarray,
-        k_idx: np.ndarray,
-        vals: np.ndarray,
-        out: np.ndarray,
-    ) -> LaneRunResult:
-        """Array-native fast path over one lane's record columns.
-
-        Takes the four column vectors of
-        :meth:`repro.formats.ciss._CISSBase.lane_arrays` directly, so the
-        hot path never materializes :class:`LaneRecord` objects. Emits the
-        same observability counters as :meth:`run`.
-        """
-        result = lane_pass_arrays(
-            self.costs, self.fiber0, self.fiber1, self.f1_tile,
-            kinds, a_idx, k_idx, vals, out,
-        )
-        self._emit_obs(result, None, obs.tracer())
-        return result
+        count = len(records)
+        kinds = np.fromiter((rec.kind for rec in records), np.uint8, count=count)
+        a_idx = np.fromiter((rec.a for rec in records), np.int64, count=count)
+        k_idx = np.fromiter((rec.k for rec in records), np.int64, count=count)
+        vals = np.fromiter((rec.val for rec in records), np.float64, count=count)
+        return self._run(kinds, a_idx, k_idx, vals, out, trace)
 
     def run_stream(
         self,
@@ -371,21 +303,29 @@ class PELane:
         lane: int,
         out: np.ndarray,
         trace: Optional[list] = None,
-        engine: Optional[str] = None,
     ) -> LaneRunResult:
         """Execute one lane of an encoded CISS stream.
 
-        Convenience entry that feeds the fast path from the stream's
-        memoized :meth:`~repro.formats.ciss._CISSBase.lane_arrays` (zero
-        conversion cost) and the legacy interpreter from
-        :meth:`~repro.formats.ciss._CISSBase.lane_records`.
+        Feeds the stream's memoized
+        :meth:`~repro.formats.ciss._CISSBase.lane_arrays` directly, so no
+        :class:`LaneRecord` objects are built; ``trace`` works as in
+        :meth:`run`.
         """
-        if trace is None and not obs.tracer().micro:
-            if resolve_sim_engine(engine) != "legacy":
-                return self.run_arrays(*ciss.lane_arrays(lane), out)
-        return self.run(
-            ciss.lane_records(lane), out, trace=trace, engine="legacy"
+        return self._run(*ciss.lane_arrays(lane), out, trace)
+
+    def _run(self, kinds, a_idx, k_idx, vals, out, trace) -> LaneRunResult:
+        result = lane_pass_arrays(
+            self.costs, self.fiber0, self.fiber1, self.f1_tile,
+            kinds, a_idx, k_idx, vals, out,
         )
+        tracer = obs.tracer()
+        events = None
+        if trace is not None or tracer.micro:
+            events = lane_trace(self.costs, kinds, a_idx)
+            if trace is not None:
+                trace.extend(events)
+        self._emit_obs(result, events if tracer.micro else None, tracer)
+        return result
 
     def _emit_obs(self, result: LaneRunResult, micro_events, tracer) -> None:
         """Mirror one lane run into the active registry/tracer (post-run,

@@ -7,6 +7,8 @@ streams and feed malformed programs to the device, asserting every
 corruption either raises a library error or is provably harmless.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,36 @@ class TestCorruptedCISS:
         )
         with pytest.raises(SimulationError):
             engine.run(broken, (2, 2))
+
+    def _event_engine(self, rng):
+        costs = kernel_costs("spmttkrp", TensaurusConfig(), fiber_elems=2)
+        return EventDrivenTensaurus(
+            TensaurusConfig(), costs,
+            fiber0=rng.random((2, 2)), fiber1=rng.random((2, 2)),
+        )
+
+    def test_event_engine_rejects_slice_on_two_lanes(self, rng):
+        # Hand-built planes heading slice 0 on both lanes: the two lanes
+        # would drain into one output row concurrently.
+        shared = CISSTensor(
+            (2, 2, 2), 2,
+            kinds=[[KIND_HEADER, KIND_HEADER], [KIND_NNZ, KIND_NNZ]],
+            a_idx=[[0, 0], [0, 1]],
+            k_idx=[[-1, -1], [0, 1]],
+            vals=[[0.0, 0.0], [1.0, 2.0]],
+        )
+        with pytest.raises(SimulationError, match="slice 0"):
+            self._event_engine(rng).run(shared, (2, 2))
+
+    def test_event_engine_rejects_entries_without_lanes(self, rng):
+        planes = SimpleNamespace(
+            kinds=np.zeros((3, 0), dtype=np.uint8),
+            a_idx=np.zeros((3, 0), dtype=np.int64),
+            k_idx=np.zeros((3, 0), dtype=np.int64),
+            vals=np.zeros((3, 0)),
+        )
+        with pytest.raises(SimulationError, match="no lanes"):
+            self._event_engine(rng).run(planes, (2, 2))
 
 
 class TestCorruptedMatrixStreams:

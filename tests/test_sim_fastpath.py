@@ -1,22 +1,24 @@
-"""Bit-identity of the simulator engines (fast / legacy / jit).
+"""Golden digests of the simulator's three hot loops.
 
-The ``engine="fast"`` (and, with numba installed, ``engine="jit"``) paths
-in :mod:`repro.sim.pe`, :mod:`repro.sim.event` and :mod:`repro.sim.memory`
-must reproduce the legacy Python loops *exactly* — same cycles, same stall
-breakdown, same fault events, bit-identical float outputs — so that
-choosing an engine is purely a speed decision. These tests sweep the three
-loops over a grid of kernels, lane counts, queue depths and fault plans
-and compare every observable field.
+The PE lane walk (:class:`PELane`), the event engine's cycle loop
+(:class:`EventDrivenTensaurus`) and the HBM burst service loop
+(:class:`StreamMemory`) each kept a per-record Python reference loop
+beside the vectorized one. ``SIM_GOLDEN`` holds sha256 digests computed
+from those reference loops on the fixed-seed grids below before they
+were deleted; a match proves the one remaining path reproduces them bit
+for bit:
 
-Without numba the jit cases still run: the jit kernels in
-:mod:`repro.sim.jit` are plain-Python functions that numba would compile,
-so executing them interpreted pins the exact logic that would be compiled.
+- event engine: cycles, ops, output bytes, the stall breakdown, the
+  lane-busy vector, injected stalls and fault events over kernels, lane
+  counts, queue depths and HBM-stall plans, plus a benchmark-scale tile
+  and a metrics snapshot;
+- PE lanes: every lane's result and output bytes, and the ``(cycle,
+  event, detail)`` trace it records into a list;
+- HBM: cycles, useful and fetched bytes of random and degenerate traces
+  on three memory configs, plus a metrics snapshot.
 
-``SIM_GOLDEN`` freezes the legacy side of every comparison as a sha256
-digest, so the grids keep their reference once the legacy loops are
-gone: every event-engine field compared below (plus its metrics
-snapshot), every PE lane's result, output bytes and ``(cycle, event,
-detail)`` trace, and every HBM trace result. A mismatch names its case.
+A mismatch names its case. Never re-baseline a digest to make a change
+pass: a moved digest means the model changed.
 """
 
 import json
@@ -29,12 +31,6 @@ from repro.datasets.generators import random_sparse_tensor
 from repro.formats import CISSMatrix, CISSTensor, COOMatrix
 from repro.sim.config import MemoryConfig, TensaurusConfig
 from repro.sim.costs import kernel_costs
-from repro.sim.engine import (
-    default_sim_engine,
-    jit_available,
-    resolve_sim_engine,
-    set_sim_engine,
-)
 from repro.sim.event import EventDrivenTensaurus
 from repro.sim.faults import FaultPlan
 from repro.sim.memory import StreamMemory
@@ -44,7 +40,6 @@ from repro.util.rng import make_rng
 from .conftest import digest, random_tensor
 
 RANK = 8
-ENGINES = ["fast", "jit"]  # each compared against "legacy"
 
 SIM_GOLDEN = {
     "event/benchmark-scale": "92a8ce335f1380e1bb6f3cd8b69a78ff5d73e5b8f5f5d7b7029a553f90b66e37",
@@ -325,134 +320,56 @@ def _matrix_workload(lanes, kernel):
     return ciss, costs, f0, out_shape
 
 
-def _assert_event_identical(a, b, tag):
-    assert a.cycles == b.cycles, (tag, "cycles", a.cycles, b.cycles)
-    assert a.ops == b.ops, (tag, "ops")
-    assert a.output.tobytes() == b.output.tobytes(), (tag, "output")
-    assert a.bank_conflict_stalls == b.bank_conflict_stalls, (tag, "bank")
-    assert a.msu_stalls == b.msu_stalls, (tag, "msu")
-    assert a.tlu_stall_cycles == b.tlu_stall_cycles, (tag, "tlu")
-    assert np.array_equal(a.lane_busy_cycles, b.lane_busy_cycles), (tag, "busy")
-    assert a.injected_stall_cycles == b.injected_stall_cycles, (tag, "inj")
-    assert [(e.kind, e.location) for e in a.fault_events] == [
-        (e.kind, e.location) for e in b.fault_events
-    ], (tag, "faults")
-
-
-class TestEngineSeam:
-    def test_default_engine_valid(self):
-        assert default_sim_engine() in ("fast", "legacy", "jit")
-
-    def test_set_sim_engine_round_trip(self):
-        prev = set_sim_engine("legacy")
-        try:
-            assert default_sim_engine() == "legacy"
-            assert resolve_sim_engine(None) == "legacy"
-        finally:
-            set_sim_engine(prev)
-        assert default_sim_engine() == prev
-
-    def test_set_sim_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="engine"):
-            set_sim_engine("turbo")
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError, match="engine"):
-            resolve_sim_engine("turbo")
-
-    def test_resolve_jit_degrades_without_numba(self):
-        resolved = resolve_sim_engine("jit")
-        if jit_available():
-            assert resolved == "jit"
-        else:
-            assert resolved == "fast"
-
-    def test_env_var_mirrors_encoder_seam(self):
-        # Same spelling and validation style as REPRO_ENCODER_ENGINE.
-        import repro.sim.engine as engine_mod
-
-        assert "REPRO_SIM_ENGINE" in engine_mod.__doc__
-
-
 class TestEventEngineAgreement:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("kernel", ["spmttkrp", "spttmc"])
     @pytest.mark.parametrize("lanes", [1, 3, 8])
-    def test_tensor_kernels(self, lanes, kernel, engine):
+    def test_tensor_kernels(self, lanes, kernel):
         for seed in (0, 1):
             for qd in (1, 4):
                 ciss, costs, f0, f1, out_shape = _tensor_workload(
                     seed, lanes, kernel
                 )
-                args = (_cfg(lanes), costs, f0, f1, 4)
-                ref = EventDrivenTensaurus(*args, queue_depth=qd).run(
-                    ciss, out_shape, engine="legacy"
-                )
+                got = EventDrivenTensaurus(
+                    _cfg(lanes), costs, f0, f1, 4, queue_depth=qd
+                ).run(ciss, out_shape)
                 check(
                     f"event/{kernel}/lanes{lanes}/seed{seed}/qd{qd}",
-                    event_digest(ref),
+                    event_digest(got),
                 )
-                got = EventDrivenTensaurus(*args, queue_depth=qd).run(
-                    ciss, out_shape, engine=engine
-                )
-                _assert_event_identical(ref, got, (lanes, kernel, seed, qd))
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("kernel", ["spmm", "spmv"])
     @pytest.mark.parametrize("lanes", [1, 4, 8])
-    def test_matrix_kernels(self, lanes, kernel, engine):
+    def test_matrix_kernels(self, lanes, kernel):
         ciss, costs, f0, out_shape = _matrix_workload(lanes, kernel)
-        ref = EventDrivenTensaurus(_cfg(lanes), costs, f0).run(
-            ciss, out_shape, engine="legacy"
-        )
-        check(f"event/{kernel}/lanes{lanes}", event_digest(ref))
-        got = EventDrivenTensaurus(_cfg(lanes), costs, f0).run(
-            ciss, out_shape, engine=engine
-        )
-        _assert_event_identical(ref, got, (lanes, kernel))
+        got = EventDrivenTensaurus(_cfg(lanes), costs, f0).run(ciss, out_shape)
+        check(f"event/{kernel}/lanes{lanes}", event_digest(got))
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
         "rate,each", [(0.15, 9), (0.6, 25), (1.0, 3)]
     )
-    def test_fault_injection(self, rate, each, engine):
+    def test_fault_injection(self, rate, each):
         ciss, costs, f0, f1, out_shape = _tensor_workload(2, 4, "spmttkrp")
         plan = FaultPlan(seed=1, hbm_stall_rate=rate, hbm_stall_cycles=each)
-        args = (_cfg(4), costs, f0, f1, 4)
-        ref = EventDrivenTensaurus(*args, fault_plan=plan).run(
-            ciss, out_shape, engine="legacy"
-        )
-        check(f"event/hbm-stall/rate{rate}/each{each}", event_digest(ref))
-        got = EventDrivenTensaurus(*args, fault_plan=plan).run(
-            ciss, out_shape, engine=engine
-        )
-        _assert_event_identical(ref, got, (rate, each))
+        got = EventDrivenTensaurus(
+            _cfg(4), costs, f0, f1, 4, fault_plan=plan
+        ).run(ciss, out_shape)
+        check(f"event/hbm-stall/rate{rate}/each{each}", event_digest(got))
 
-    def test_jit_kernel_logic_pinned(self):
-        # Force the jit code path (interpreted when numba is absent) and
-        # compare against legacy — this is what the compiled kernel runs.
+    def test_eight_lane_tile(self):
         ciss, costs, f0, f1, out_shape = _tensor_workload(3, 8, "spmttkrp")
-        ref = EventDrivenTensaurus(_cfg(8), costs, f0, f1, 4).run(
-            ciss, out_shape, engine="legacy"
+        got = EventDrivenTensaurus(_cfg(8), costs, f0, f1, 4).run(
+            ciss, out_shape
         )
-        check("event/spmttkrp/lanes8/seed3", event_digest(ref))
-        got = EventDrivenTensaurus(_cfg(8), costs, f0, f1, 4)._run_fast(
-            ciss, out_shape, "jit"
-        )
-        _assert_event_identical(ref, got, "jit-forced")
+        check("event/spmttkrp/lanes8/seed3", event_digest(got))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_obs_metrics_identical_across_engines(self, engine):
+    def test_obs_metrics(self):
         ciss, costs, f0, f1, out_shape = _tensor_workload(1, 8, "spmttkrp")
-        snaps = []
-        for eng in ("legacy", engine):
-            with obs.observe() as ob:
-                EventDrivenTensaurus(_cfg(8), costs, f0, f1, 4).run(
-                    ciss, out_shape, engine=eng
-                )
-                snaps.append(ob.registry.snapshot())
-        check("event/metrics", snapshot_digest(snaps[0]))
-        assert snaps[0] == snaps[1]
+        with obs.observe() as ob:
+            EventDrivenTensaurus(_cfg(8), costs, f0, f1, 4).run(
+                ciss, out_shape
+            )
+            snap = ob.registry.snapshot()
+        check("event/metrics", snapshot_digest(snap))
 
     def test_benchmark_scale_tile(self):
         # The default 8x8 PE array on a 20k-nonzero tile: long enough
@@ -464,67 +381,46 @@ class TestEventEngineAgreement:
         c = rng.random((100, 16))
         ciss = CISSTensor.from_sparse(tensor, cfg.rows)
         costs = kernel_costs("spmttkrp", cfg, fiber_elems=16)
-        ref = EventDrivenTensaurus(cfg, costs, fiber0=c, fiber1=b).run(
-            ciss, (400, 16), engine="legacy"
+        got = EventDrivenTensaurus(cfg, costs, fiber0=c, fiber1=b).run(
+            ciss, (400, 16)
         )
-        check("event/benchmark-scale", event_digest(ref))
+        check("event/benchmark-scale", event_digest(got))
+
+
+def _check_lanes(prefix, ciss, out_shape, make_lane):
+    """Every lane: its result and output, then the same run traced."""
+    for lane in range(ciss.num_lanes):
+        case = f"{prefix}/lane{lane}"
+        out = np.zeros(out_shape)
+        res = make_lane().run_stream(ciss, lane, out)
+        check(case, lane_digest(res, out))
+        trace = []
+        out = np.zeros(out_shape)
+        res = make_lane().run_stream(ciss, lane, out, trace=trace)
+        check(case + "/trace", lane_digest(res, out, trace))
 
 
 class TestPELaneAgreement:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("kernel", ["spmttkrp", "spttmc"])
     @pytest.mark.parametrize("lanes", [1, 3, 8])
-    def test_tensor_kernels(self, lanes, kernel, engine):
+    def test_tensor_kernels(self, lanes, kernel):
         for seed in (0, 5):
             ciss, costs, f0, f1, out_shape = _tensor_workload(
                 seed, lanes, kernel
             )
-            for lane in range(lanes):
-                case = f"pe/{kernel}/lanes{lanes}/seed{seed}/lane{lane}"
-                out_ref = np.zeros(out_shape)
-                out_got = np.zeros(out_shape)
-                ref = PELane(costs, f0, f1, 4).run_stream(
-                    ciss, lane, out_ref, engine="legacy"
-                )
-                check(case, lane_digest(ref, out_ref))
-                trace = []
-                out_tr = np.zeros(out_shape)
-                traced = PELane(costs, f0, f1, 4).run_stream(
-                    ciss, lane, out_tr, trace=trace
-                )
-                check(case + "/trace", lane_digest(traced, out_tr, trace))
-                got = PELane(costs, f0, f1, 4).run_stream(
-                    ciss, lane, out_got, engine=engine
-                )
-                assert ref.cycles == got.cycles, (lanes, kernel, seed, lane)
-                assert ref.ops == got.ops
-                assert out_ref.tobytes() == out_got.tobytes()
+            _check_lanes(
+                f"pe/{kernel}/lanes{lanes}/seed{seed}", ciss, out_shape,
+                lambda: PELane(costs, f0, f1, 4),
+            )
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("kernel", ["spmm", "spmv"])
-    def test_matrix_kernels(self, kernel, engine):
+    def test_matrix_kernels(self, kernel):
         for lanes in (1, 4, 8):
             ciss, costs, f0, out_shape = _matrix_workload(lanes, kernel)
-            for lane in range(lanes):
-                case = f"pe/{kernel}/lanes{lanes}/lane{lane}"
-                out_ref = np.zeros(out_shape)
-                out_got = np.zeros(out_shape)
-                ref = PELane(costs, f0).run_stream(
-                    ciss, lane, out_ref, engine="legacy"
-                )
-                check(case, lane_digest(ref, out_ref))
-                trace = []
-                out_tr = np.zeros(out_shape)
-                traced = PELane(costs, f0).run_stream(
-                    ciss, lane, out_tr, trace=trace
-                )
-                check(case + "/trace", lane_digest(traced, out_tr, trace))
-                got = PELane(costs, f0).run_stream(
-                    ciss, lane, out_got, engine=engine
-                )
-                assert ref.cycles == got.cycles
-                assert ref.ops == got.ops
-                assert out_ref.tobytes() == out_got.tobytes()
+            _check_lanes(
+                f"pe/{kernel}/lanes{lanes}", ciss, out_shape,
+                lambda: PELane(costs, f0),
+            )
 
 
 def _random_trace(seed, groups, max_per_group, addr_span, sizes):
@@ -557,42 +453,29 @@ class TestStreamMemoryAgreement:
         ),
     ]
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("cfg_i", range(len(CONFIGS)))
-    def test_random_traces(self, cfg_i, engine):
+    def test_random_traces(self, cfg_i):
         cfg = self.CONFIGS[cfg_i]
         for seed in range(4):
             trace = _random_trace(
                 seed, groups=60, max_per_group=6,
                 addr_span=1 << 14, sizes=(4, 12, 64, 200),
             )
-            ref = StreamMemory(cfg).service_trace(trace, engine="legacy")
-            check(f"hbm/{cfg.name}/seed{seed}", memory_digest(ref))
-            got = StreamMemory(cfg).service_trace(trace, engine=engine)
-            assert ref.cycles == got.cycles, (cfg_i, seed)
-            assert ref.useful_bytes == got.useful_bytes
-            assert ref.fetched_bytes == got.fetched_bytes
+            got = StreamMemory(cfg).service_trace(trace)
+            check(f"hbm/{cfg.name}/seed{seed}", memory_digest(got))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_empty_and_degenerate(self, engine):
+    def test_empty_and_degenerate(self):
         cfg = self.CONFIGS[0]
         for i, trace in enumerate(([], [[]], [[], []], [[(0, 1)]])):
-            ref = StreamMemory(cfg).service_trace(trace, engine="legacy")
-            check(f"hbm/degenerate{i}", memory_digest(ref))
-            got = StreamMemory(cfg).service_trace(trace, engine=engine)
-            assert ref.cycles == got.cycles
-            assert ref.fetched_bytes == got.fetched_bytes
+            got = StreamMemory(cfg).service_trace(trace)
+            check(f"hbm/degenerate{i}", memory_digest(got))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_metrics_identical(self, engine):
+    def test_metrics(self):
         cfg = self.CONFIGS[1]
         trace = _random_trace(
             9, groups=40, max_per_group=4, addr_span=1 << 12, sizes=(8, 64)
         )
-        snaps = []
-        for eng in ("legacy", engine):
-            with obs.observe() as ob:
-                StreamMemory(cfg).service_trace(trace, engine=eng)
-                snaps.append(ob.registry.snapshot())
-        check("hbm/metrics", snapshot_digest(snaps[0]))
-        assert snaps[0] == snaps[1]
+        with obs.observe() as ob:
+            StreamMemory(cfg).service_trace(trace)
+            snap = ob.registry.snapshot()
+        check("hbm/metrics", snapshot_digest(snap))
