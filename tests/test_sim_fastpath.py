@@ -17,10 +17,17 @@ for bit:
 - HBM: cycles, useful and fetched bytes of random and degenerate traces
   on three memory configs, plus a metrics snapshot.
 
+Each grid case runs twice against the same digest: as a plain call, and
+under a micro-mode tracer (``obs.observe(micro=True)``), which switches
+the event engine to its instrumented timing loop, makes every PE lane
+derive its trace and turns on the HBM occupancy histogram. Observation
+must not move a single cycle or output bit.
+
 A mismatch names its case. Never re-baseline a digest to make a change
 pass: a moved digest means the model changed.
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -40,6 +47,10 @@ from repro.util.rng import make_rng
 from .conftest import digest, random_tensor
 
 RANK = 8
+# The plain and micro-observed legs. The ids are the names the two legs
+# had when they were the fast and jit engines, each compared with the
+# reference loops.
+MICRO = [pytest.param(False, id="fast"), pytest.param(True, id="jit")]
 
 SIM_GOLDEN = {
     "event/benchmark-scale": "92a8ce335f1380e1bb6f3cd8b69a78ff5d73e5b8f5f5d7b7029a553f90b66e37",
@@ -250,6 +261,11 @@ def check(case, got):
     assert got == SIM_GOLDEN[case], f"{case}: digest moved"
 
 
+def observed(micro):
+    """A micro-mode observation for the micro leg, none for the plain one."""
+    return obs.observe(micro=True) if micro else contextlib.nullcontext()
+
+
 def event_digest(res):
     return digest(
         (
@@ -321,38 +337,46 @@ def _matrix_workload(lanes, kernel):
 
 
 class TestEventEngineAgreement:
+    @pytest.mark.parametrize("micro", MICRO)
     @pytest.mark.parametrize("kernel", ["spmttkrp", "spttmc"])
     @pytest.mark.parametrize("lanes", [1, 3, 8])
-    def test_tensor_kernels(self, lanes, kernel):
+    def test_tensor_kernels(self, lanes, kernel, micro):
         for seed in (0, 1):
             for qd in (1, 4):
                 ciss, costs, f0, f1, out_shape = _tensor_workload(
                     seed, lanes, kernel
                 )
-                got = EventDrivenTensaurus(
-                    _cfg(lanes), costs, f0, f1, 4, queue_depth=qd
-                ).run(ciss, out_shape)
+                with observed(micro):
+                    got = EventDrivenTensaurus(
+                        _cfg(lanes), costs, f0, f1, 4, queue_depth=qd
+                    ).run(ciss, out_shape)
                 check(
                     f"event/{kernel}/lanes{lanes}/seed{seed}/qd{qd}",
                     event_digest(got),
                 )
 
+    @pytest.mark.parametrize("micro", MICRO)
     @pytest.mark.parametrize("kernel", ["spmm", "spmv"])
     @pytest.mark.parametrize("lanes", [1, 4, 8])
-    def test_matrix_kernels(self, lanes, kernel):
+    def test_matrix_kernels(self, lanes, kernel, micro):
         ciss, costs, f0, out_shape = _matrix_workload(lanes, kernel)
-        got = EventDrivenTensaurus(_cfg(lanes), costs, f0).run(ciss, out_shape)
+        with observed(micro):
+            got = EventDrivenTensaurus(_cfg(lanes), costs, f0).run(
+                ciss, out_shape
+            )
         check(f"event/{kernel}/lanes{lanes}", event_digest(got))
 
+    @pytest.mark.parametrize("micro", MICRO)
     @pytest.mark.parametrize(
         "rate,each", [(0.15, 9), (0.6, 25), (1.0, 3)]
     )
-    def test_fault_injection(self, rate, each):
+    def test_fault_injection(self, rate, each, micro):
         ciss, costs, f0, f1, out_shape = _tensor_workload(2, 4, "spmttkrp")
         plan = FaultPlan(seed=1, hbm_stall_rate=rate, hbm_stall_cycles=each)
-        got = EventDrivenTensaurus(
-            _cfg(4), costs, f0, f1, 4, fault_plan=plan
-        ).run(ciss, out_shape)
+        with observed(micro):
+            got = EventDrivenTensaurus(
+                _cfg(4), costs, f0, f1, 4, fault_plan=plan
+            ).run(ciss, out_shape)
         check(f"event/hbm-stall/rate{rate}/each{each}", event_digest(got))
 
     def test_eight_lane_tile(self):
@@ -362,9 +386,10 @@ class TestEventEngineAgreement:
         )
         check("event/spmttkrp/lanes8/seed3", event_digest(got))
 
-    def test_obs_metrics(self):
+    @pytest.mark.parametrize("micro", MICRO)
+    def test_obs_metrics_identical_across_engines(self, micro):
         ciss, costs, f0, f1, out_shape = _tensor_workload(1, 8, "spmttkrp")
-        with obs.observe() as ob:
+        with obs.observe(micro=micro) as ob:
             EventDrivenTensaurus(_cfg(8), costs, f0, f1, 4).run(
                 ciss, out_shape
             )
@@ -387,39 +412,42 @@ class TestEventEngineAgreement:
         check("event/benchmark-scale", event_digest(got))
 
 
-def _check_lanes(prefix, ciss, out_shape, make_lane):
+def _check_lanes(prefix, ciss, out_shape, make_lane, micro):
     """Every lane: its result and output, then the same run traced."""
     for lane in range(ciss.num_lanes):
         case = f"{prefix}/lane{lane}"
-        out = np.zeros(out_shape)
-        res = make_lane().run_stream(ciss, lane, out)
-        check(case, lane_digest(res, out))
-        trace = []
-        out = np.zeros(out_shape)
-        res = make_lane().run_stream(ciss, lane, out, trace=trace)
-        check(case + "/trace", lane_digest(res, out, trace))
+        with observed(micro):
+            out = np.zeros(out_shape)
+            res = make_lane().run_stream(ciss, lane, out)
+            check(case, lane_digest(res, out))
+            trace = []
+            out = np.zeros(out_shape)
+            res = make_lane().run_stream(ciss, lane, out, trace=trace)
+            check(case + "/trace", lane_digest(res, out, trace))
 
 
 class TestPELaneAgreement:
+    @pytest.mark.parametrize("micro", MICRO)
     @pytest.mark.parametrize("kernel", ["spmttkrp", "spttmc"])
     @pytest.mark.parametrize("lanes", [1, 3, 8])
-    def test_tensor_kernels(self, lanes, kernel):
+    def test_tensor_kernels(self, lanes, kernel, micro):
         for seed in (0, 5):
             ciss, costs, f0, f1, out_shape = _tensor_workload(
                 seed, lanes, kernel
             )
             _check_lanes(
                 f"pe/{kernel}/lanes{lanes}/seed{seed}", ciss, out_shape,
-                lambda: PELane(costs, f0, f1, 4),
+                lambda: PELane(costs, f0, f1, 4), micro,
             )
 
+    @pytest.mark.parametrize("micro", MICRO)
     @pytest.mark.parametrize("kernel", ["spmm", "spmv"])
-    def test_matrix_kernels(self, kernel):
+    def test_matrix_kernels(self, kernel, micro):
         for lanes in (1, 4, 8):
             ciss, costs, f0, out_shape = _matrix_workload(lanes, kernel)
             _check_lanes(
                 f"pe/{kernel}/lanes{lanes}", ciss, out_shape,
-                lambda: PELane(costs, f0),
+                lambda: PELane(costs, f0), micro,
             )
 
 
@@ -453,29 +481,34 @@ class TestStreamMemoryAgreement:
         ),
     ]
 
+    @pytest.mark.parametrize("micro", MICRO)
     @pytest.mark.parametrize("cfg_i", range(len(CONFIGS)))
-    def test_random_traces(self, cfg_i):
+    def test_random_traces(self, cfg_i, micro):
         cfg = self.CONFIGS[cfg_i]
         for seed in range(4):
             trace = _random_trace(
                 seed, groups=60, max_per_group=6,
                 addr_span=1 << 14, sizes=(4, 12, 64, 200),
             )
-            got = StreamMemory(cfg).service_trace(trace)
+            with observed(micro):
+                got = StreamMemory(cfg).service_trace(trace)
             check(f"hbm/{cfg.name}/seed{seed}", memory_digest(got))
 
-    def test_empty_and_degenerate(self):
+    @pytest.mark.parametrize("micro", MICRO)
+    def test_empty_and_degenerate(self, micro):
         cfg = self.CONFIGS[0]
         for i, trace in enumerate(([], [[]], [[], []], [[(0, 1)]])):
-            got = StreamMemory(cfg).service_trace(trace)
+            with observed(micro):
+                got = StreamMemory(cfg).service_trace(trace)
             check(f"hbm/degenerate{i}", memory_digest(got))
 
-    def test_metrics(self):
+    @pytest.mark.parametrize("micro", MICRO)
+    def test_metrics_identical(self, micro):
         cfg = self.CONFIGS[1]
         trace = _random_trace(
             9, groups=40, max_per_group=4, addr_span=1 << 12, sizes=(8, 64)
         )
-        with obs.observe() as ob:
+        with obs.observe(micro=micro) as ob:
             StreamMemory(cfg).service_trace(trace)
             snap = ob.registry.snapshot()
         check("hbm/metrics", snapshot_digest(snap))
