@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -409,6 +409,11 @@ class RequestTracer:
         )
 
 
+#: The disabled tracer's activation: one shared no-op context, so a
+#: launch with request tracing off builds no generator.
+_NO_ACTIVATION = nullcontext()
+
+
 class NullRequestTracer:
     """The disabled request tracer: every method is a no-op."""
 
@@ -431,10 +436,9 @@ class NullRequestTracer:
               attrs: Optional[Mapping[str, object]] = None) -> int:
         return 0
 
-    @contextmanager
     def activate(self, request_id: int,
-                 span_id: Optional[int] = None) -> Iterator[None]:
-        yield
+                 span_id: Optional[int] = None) -> AbstractContextManager:
+        return _NO_ACTIVATION
 
     def __len__(self) -> int:
         return 0

@@ -13,6 +13,11 @@ All hashing goes through ``blake2b`` keyed by the ring seed: placements
 never depend on Python's per-process ``hash()`` randomization, so the
 same (seed, shards) lays out the identical ring in every process — the
 decision-log replay gate depends on this.
+
+A key's ring point is a pure function of the seed and the key, so
+:meth:`HashRing.route` hashes each key once and memoizes the point. The
+owning shard is looked up afresh on every call, since it changes with
+membership.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ class HashRing:
         #: sorted (point, shard) pairs — the ring itself.
         self._points: List[Tuple[int, int]] = []
         self._shards: set = set()
+        #: key -> its ring point (membership-independent).
+        self._key_points: Dict[str, int] = {}
         for shard in shards:
             self.add(shard)
 
@@ -74,7 +81,9 @@ class HashRing:
         """The shard owning ``key``: first ring point clockwise of it."""
         if not self._points:
             raise ConfigError("cannot route on an empty ring")
-        h = self._point(f"key:{key}")
+        h = self._key_points.get(key)
+        if h is None:
+            h = self._key_points[key] = self._point(f"key:{key}")
         idx = bisect.bisect_left(self._points, (h,))
         if idx == len(self._points):
             idx = 0

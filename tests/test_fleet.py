@@ -98,6 +98,24 @@ class TestHashRing:
         }
         assert len(outs) == 1
 
+    def test_memoized_route_follows_membership(self):
+        """``route`` memoizes each key's ring point, never its owner:
+        after every join and leave it agrees with a freshly built ring."""
+        keys = [f"key-{i}" for i in range(500)]
+        ring = HashRing(shards=range(4), vnodes=32, seed=5)
+        members = set(range(4))
+        for op, shard in (
+            ("remove", 1), ("add", 7), ("remove", 3), ("add", 1),
+            ("remove", 0),
+        ):
+            ring.ownership(keys)  # fills the memo under the old owners
+            getattr(ring, op)(shard)
+            members = (
+                members | {shard} if op == "add" else members - {shard}
+            )
+            fresh = HashRing(shards=sorted(members), vnodes=32, seed=5)
+            assert ring.ownership(keys) == fresh.ownership(keys)
+
     def test_seed_changes_layout(self):
         keys = [f"key-{i}" for i in range(200)]
         a = HashRing(shards=range(4), vnodes=32, seed=1).ownership(keys)

@@ -11,7 +11,7 @@ from repro.serving import (
     WorkloadPool,
     synthetic_trace,
 )
-from repro.serving.request import STATUS_OK
+from repro.serving.request import STATUS_FAILED, STATUS_OK
 from repro.sim.faults import SHARD_KILL, FaultPlan
 from repro.util.errors import FaultError
 
@@ -194,6 +194,60 @@ class TestShardKillFailover:
             if event == "admit" and t > kill_time
         }
         assert shards_after and 1 not in shards_after
+
+
+class TestRedealOverflow:
+    def test_cap_fails_the_lowest_ranked_orphans(self, pool):
+        """A kill orphans more requests than ``failover_redeal_cap``: the
+        lowest-ranked fail fast, the rest are served exactly once."""
+        heavy = synthetic_trace(
+            pool, duration_s=0.5, base_rate=400.0, spike_factor=8.0,
+            deadline_s=0.02, seed=SEED, tenants=("acme", "beta"),
+        )
+        # A deep queue: no eviction can shed a re-dealt request later.
+        fleet = _fleet(
+            pool, queue_depth=128, autoscale=False, failover_redeal_cap=3,
+            tenant_default=TenantQuota(rate=1.0e5),
+        )
+        result = fleet.run_trace(heavy, kills=[(0, 0.25)])
+        log = result.decision_log
+        overflow = [
+            rid for (_, rid, event, info) in log
+            if event == "failed" and info == "redeal_overflow"
+        ]
+        redealt = [rid for (_, rid, event, _) in log if event == "redeal"]
+        assert len(redealt) == 3 and len(overflow) >= 3
+        assert result.counters["evicted"] == 0
+        # Overflow is the tail of the (-priority, arrival_s, request_id)
+        # ranking of every orphan.
+        by_id = {r.request_id: r for r in heavy}
+        ranked = sorted(
+            redealt + overflow,
+            key=lambda rid: (
+                -by_id[rid].priority, by_id[rid].arrival_s, rid,
+            ),
+        )
+        assert ranked[3:] == overflow
+        assert len({by_id[rid].priority for rid in ranked}) > 1
+        responses = {r.request_id: r for r in result.responses}
+        for rid in overflow:
+            assert responses[rid].status == STATUS_FAILED
+            assert responses[rid].detail == {"reason": "redeal_overflow"}
+        assert result.counters["failover_overflow"] == len(overflow)
+        assert result.counters["failed"] == len(overflow)
+        assert result.lost_request_ids == sorted(overflow)
+        assert not result.exactly_once
+        for rid in redealt:
+            commits = [
+                row for row in log if row[1] == rid and row[2] == "complete"
+            ]
+            assert len(commits) == 1
+            assert responses[rid].status == STATUS_OK
+            assert responses[rid].shard != 0
+        assert result.counters["duplicate_completions"] == 0
+        assert result.counters["served"] == (
+            result.counters["admitted"] - len(overflow)
+        )
 
 
 class TestAutoscaling:

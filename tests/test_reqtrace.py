@@ -148,6 +148,22 @@ class TestNullRequestTracer:
         assert rt.reconcile(object()) == 0
         assert rt.chrome_trace() == {"traceEvents": []}
 
+    def test_activate_is_one_shared_noop(self):
+        # The fleet enters activate() on every full- and batched-tier
+        # launch; disabled, it must hand back one cached context.
+        rt = NullRequestTracer()
+        ctx = rt.activate(1, 0)
+        assert rt.activate(2) is ctx
+        assert NULL_REQUEST_TRACER.activate(3, 7) is ctx
+        with ctx:
+            with rt.activate(4):
+                assert current_context() is None
+        live = RequestTracer()
+        root = live.begin(5, "request", 0.0)
+        with live.activate(5, root):
+            assert current_context() == (live.trace_id(5), root)
+        assert current_context() is None
+
     def test_default_global_is_null(self):
         assert obs.request_tracer() is NULL_REQUEST_TRACER
         assert not obs.request_tracer().enabled
