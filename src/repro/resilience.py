@@ -34,7 +34,7 @@ from repro.util.errors import (
     FaultError,
     RetryExhaustedError,
 )
-from repro.util.rng import DEFAULT_SEED, derive_seed, make_rng
+from repro.util.rng import DEFAULT_SEED, uniform
 
 logger = obs.get_logger(__name__)
 
@@ -97,16 +97,15 @@ class RetryPolicy:
         """Backoff before re-attempt ``attempt`` (0-based)."""
         if self.jitter_mode == "decorrelated":
             # Replay the chain up to `attempt`: each delay depends on the
-            # previous one, and each draw has its own derived seed so the
+            # previous one, and each draw is keyed by its attempt so the
             # schedule is stable however it is queried.
             prev = self.backoff_base_s
             for a in range(attempt + 1):
-                rng = make_rng(derive_seed(self.seed, "retry-decorr", a))
+                u = uniform(self.seed, "retry-decorr", a)
                 hi = max(self.backoff_base_s, 3.0 * prev)
                 prev = min(
                     self.max_backoff_s,
-                    self.backoff_base_s
-                    + rng.random() * (hi - self.backoff_base_s),
+                    self.backoff_base_s + u * (hi - self.backoff_base_s),
                 )
             return float(prev)
         base = min(
@@ -114,8 +113,8 @@ class RetryPolicy:
             self.max_backoff_s,
         )
         if self.jitter > 0:
-            rng = make_rng(derive_seed(self.seed, "retry-jitter", attempt))
-            base *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+            u = uniform(self.seed, "retry-jitter", attempt)
+            base *= 1.0 + self.jitter * (2.0 * u - 1.0)
         return float(base)
 
     def delays(self) -> List[float]:

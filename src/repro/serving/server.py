@@ -55,7 +55,7 @@ from repro.sim.accelerator import Tensaurus
 from repro.sim.config import TensaurusConfig
 from repro.sim.faults import FaultPlan
 from repro.util.errors import ConfigError, FaultError
-from repro.util.rng import derive_seed, make_rng
+from repro.util.rng import uniform
 
 logger = obs.get_logger(__name__)
 
@@ -216,10 +216,8 @@ class TensaurusServer:
         """Per-launch replica slowdown: 1 + jitter * Exp(1), seeded."""
         if self.config.service_jitter <= 0:
             return 1.0
-        rng = make_rng(
-            derive_seed(self.config.seed, "speed", request_id, replica, role)
-        )
-        return 1.0 + self.config.service_jitter * -math.log1p(-rng.random())
+        u = uniform(self.config.seed, "speed", request_id, replica, role)
+        return 1.0 + self.config.service_jitter * -math.log1p(-u)
 
     def _nominal_s(self, tier: str, nnz: int) -> float:
         cfg = self.config

@@ -3,11 +3,14 @@
 A :class:`FaultPlan` is a seeded description of the hardware faults one
 wants the simulated accelerator to suffer: SPM bit-flips per tile, HBM
 channel stalls and outages, PE-lane dropouts, host-visible launch aborts
-and (for :mod:`repro.sim.multichip`) whole-chip failures. Every draw comes
-from :func:`repro.util.rng.derive_seed` streams keyed by ``(kernel, run
-index, retry epoch, fault class)``, so the same plan replayed against the
-same workload yields the *same* fault timeline — across runs, across the
-batched and per-tile engines, and across ``sweep_configs`` worker counts.
+and (for :mod:`repro.sim.multichip`) whole-chip failures. Every draw is
+keyed by ``(kernel, run index, retry epoch, fault class)``: a launch's
+abort and each lane's dropout are single :func:`repro.util.rng.uniform`
+draws on that label path, and the per-tile SPM and HBM draws come from a
+:func:`repro.util.rng.derive_seed` stream on it. So the same plan replayed
+against the same workload yields the *same* fault timeline — across runs,
+across the batched and per-tile engines, and across ``sweep_configs``
+worker counts.
 
 Detection and recovery are costed, not hand-waved:
 
@@ -47,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.util.errors import ConfigError, FaultError
-from repro.util.rng import DEFAULT_SEED, derive_seed, make_rng
+from repro.util.rng import DEFAULT_SEED, derive_seed, make_rng, uniform
 
 __all__ = [
     "FaultEvent",
@@ -355,6 +358,13 @@ class RunFaultContext:
             n, self.kernel, self.run_index, self.epoch, label
         )
 
+    def _uniform(self, *labels: object) -> float:
+        """One keyed uniform on this run's label path."""
+        return uniform(
+            self.plan.seed, "fault", self.kernel, self.run_index, self.epoch,
+            *labels,
+        )
+
     def _count(self, key: str, amount: int) -> None:
         if amount:
             self.counters[key] = self.counters.get(key, 0) + int(amount)
@@ -368,7 +378,7 @@ class RunFaultContext:
     def aborts(self) -> bool:
         """Whether this launch is drawn to abort (records nothing)."""
         rate = self.plan.launch_abort_rate
-        return rate > 0 and float(self._draw(1, "abort")[0]) < rate
+        return rate > 0 and self._uniform("abort") < rate
 
     def check_launch_abort(self) -> None:
         """Raise :class:`FaultError` when this launch is drawn to abort."""
@@ -384,8 +394,10 @@ class RunFaultContext:
         plan = self.plan
         dropped = set(l for l in plan.forced_lane_drops if 0 <= l < rows)
         if plan.pe_lane_dropout_rate > 0:
-            u = self._draw(rows, "lane")
-            dropped.update(np.flatnonzero(u < plan.pe_lane_dropout_rate).tolist())
+            dropped.update(
+                lane for lane in range(rows)
+                if self._uniform("lane", lane) < plan.pe_lane_dropout_rate
+            )
         if len(dropped) >= rows:  # keep the machine minimally alive
             dropped = set(sorted(dropped)[: rows - 1])
         for lane in sorted(dropped):

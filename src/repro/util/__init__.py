@@ -12,7 +12,7 @@ from repro.util.errors import (
     ConfigError,
     KernelError,
 )
-from repro.util.rng import make_rng, derive_seed
+from repro.util.rng import make_rng, derive_seed, uniform
 from repro.util.validation import (
     check_index,
     check_mode,
@@ -28,6 +28,7 @@ __all__ = [
     "KernelError",
     "make_rng",
     "derive_seed",
+    "uniform",
     "check_index",
     "check_mode",
     "check_positive",

@@ -2,19 +2,29 @@
 
 Each case replays a seeded trace through a fleet (or one single-node
 server) and hashes ``repr((decision_log, [r.log_row() for r in
-responses]))``. The constants were computed before the degradation
-ladder learned to memoize launches, so a match proves the memo changes
-no admit, route, tier, fault, hedge or finish-time decision: finish
-times carry every served report's simulated cycles.
+responses]))``. A match means no admit, route, tier, fault, hedge or
+finish-time decision moved: finish times carry every served report's
+simulated cycles. The first nine cases were first computed before the
+degradation ladder learned to memoize launches, and the memo passed
+them unedited.
 
-The ``random`` and ``weighted`` cases were computed before the fleet's
-shard queues, routable-shard list and dispatch pass became indexed.
-They reach two paths the other shapes do not: random routing, which
-indexes the routable list by position, and weighted fairness with a
-failover whose orphans overflow the re-deal cap. The ``hedged-3x`` cases
-were computed the same way, from the list-and-sweep loop: with three
-replicas per shard, a settled hedge pair's release of its losing replica
-can be the only replica that frees at that instant.
+The ``random`` and ``weighted`` cases were first computed before the
+fleet's shard queues, routable-shard list and dispatch pass became
+indexed, and the indexed loop passed them unedited. They reach two
+paths the other shapes do not: random routing, which indexes the
+routable list by position, and weighted fairness with a failover whose
+orphans overflow the re-deal cap. The ``hedged-3x`` cases were computed
+the same way, from the list-and-sweep loop: with three replicas per
+shard, a settled hedge pair's release of its losing replica can be the
+only replica that frees at that instant.
+
+Every digest was then re-computed once, when the per-launch and
+per-request draws (speed factors, random routes, launch aborts, lane
+dropouts) moved from one seeded numpy ``Generator`` per draw to a keyed
+:func:`repro.util.rng.uniform`. The draws keep their distributions, but
+each takes a new value, so every decision log moves. That change was
+the only one in the commit that re-computed them; every later change
+must match them unedited.
 """
 
 from __future__ import annotations
@@ -46,21 +56,21 @@ SHAPES = {
 }
 
 GOLDEN = {
-    "steady@5": "a5c41ad935a3ed01f29af6bc85a9760aecb55186b9a4dc6a6798062cfa4c6e3b",
-    "steady@17": "87deed75b52621310720fadb2ef238687f6e3a87f573bdd083ca44fad3b3b420",
-    "overload@5": "e6b12f614cc333056c703bdc626bbc177d61b8797f6bf7d809395ee9bb7bfdf1",
-    "overload@17": "13e8998b3cf18c8ff48a854bf0db7acb85aab2b2457a637be06d5974bf58d2c8",
-    "chaos@5": "1879ff4d9fa2357054f84de9ea7afb3df75da0f203a892ecb803e42f524b6756",
-    "chaos@17": "15520c09f6695be53b18cc8d705b8b5fd1af8bb0249116f732a1de3b51793e56",
-    "lane-dropout@5": "2889001f73b0a6d94e5d5b348ca32da1b4b1c03f2f221576e3eb330f98a7e390",
-    "lane-dropout@17": "24d003042cf5143a7e93f33b162b9c985fccdef8c0b79a8514c352f1fa3696fc",
-    "server": "035ad8647758f0836c38ff659d50922eb2c2b15ecd2390e4c71669cf4bfa6c2c",
-    "random@5": "a8b022be88f722f36cdec26aee045031365f97d1e71754bb97abd15a25d44732",
-    "random@17": "4e82dd84c109e0221d8dc58b68ab7656bd4ac9a471314d885f9b4fbfcf68f74e",
-    "weighted@5": "0d781bbf5e9485eafbe2b2a4ac268e1ac81be6d17d21f165e33a3357d52f6f25",
-    "weighted@17": "927314526f27edf1d2b38f0a0229f40dd7071f637a20f6270d0f4cb76eb19046",
-    "hedged-3x@5": "c754e3de9247d1451d85b66de7db3b4c6c666d4b26c748bb556bf89570c2dd2c",
-    "hedged-3x@17": "5512f1310f04d7d39b4c5255bcffe53ef6710144c073d74798d9928f5b742b42",
+    "steady@5": "d186b608af6a100c65c50ac24d2384425b67d38bc0d39c1c635f3edd2f46fe8f",
+    "steady@17": "1905ea3d865ad1bf9245a659cd74ad83162115f68e57d2eb5c21205848ff140c",
+    "overload@5": "65dba0e95a2163693e20e3797922f4c590290da7159f9110bc150f379d6acccb",
+    "overload@17": "c0bbbe5ed9af36b33f41be170984b4e61ad64f3c2dd964d31600a43ed7e5644f",
+    "chaos@5": "faba30258df9f8271831f48b62a2f0d3b4ae3dc48028477dc7e3d917cab8339e",
+    "chaos@17": "0449245d30e18d1c51953fca9f7c244f5fa9cf934e0cc66fc8f2d701899f2bc3",
+    "lane-dropout@5": "bad3bd47b2218cbfb2bc37897ba5409428d45171dde17f002e7d825e2bd87b3b",
+    "lane-dropout@17": "307ca72ccf60b45a83ac45017107ac527052b718e39e810333227a65d77eaea3",
+    "server": "24bcdfcec64dffa7d8960da958bc68b15bdc1227c801608c4019e8f4ad7ca27d",
+    "random@5": "44b5f6bff806036c0b6025087c73b2f922dc1bbe4287a8a97eabfabcaf68d978",
+    "random@17": "2f322d54cd8723927ebb1ddaf6ec609f2db5bdcd5f6aad5b764385c466948286",
+    "weighted@5": "26d943cc04bc65dfa58444530799f98e4e255034c7d05c293ae9fff3b27df88e",
+    "weighted@17": "e8b2783365a35ee7e9030557e8e40f20675b51bb8013e488befa56b6c39e6865",
+    "hedged-3x@5": "028d7d0c1bae79a181f611b3d6d7c6b59493745d7bc9d589fc8ef226481da39b",
+    "hedged-3x@17": "52ae3aff1e77e138b69d51bb0e0292ee7849700bcad7beb57a71cb4ce6b90a04",
 }
 
 

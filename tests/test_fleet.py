@@ -5,6 +5,7 @@ hooks, and the fleet event loop's routing/fairness/determinism."""
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -26,6 +27,7 @@ from repro.serving import (
     synthetic_trace,
 )
 from repro.serving.request import STATUS_OK, STATUS_REJECTED, STATUS_SHED
+from repro.sim.faults import FaultPlan
 from repro.util.errors import ConfigError
 
 SEED = 23
@@ -397,6 +399,38 @@ class TestFleet:
         assert full
         assert all(r.report is not None for r in full)
         assert all(r.shard is not None for r in full)
+
+    def test_run_trace_builds_no_generator(self, pool, trace, monkeypatch):
+        # Speed factors, random routes, launch aborts and lane dropouts
+        # are keyed uniform draws: none builds a numpy Generator per
+        # launch or request.
+        fleet = TensaurusFleet(
+            FleetConfig(
+                seed=SEED, shards=3, routing="random", hedging=True,
+                serving=ServingConfig(hedge_trigger=1.2),
+            ),
+            fault_plan=FaultPlan(
+                seed=SEED, launch_abort_rate=0.1, pe_lane_dropout_rate=0.05
+            ),
+            pool=pool,
+        )
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting_default_rng(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        result = fleet.run_trace(trace)
+        monkeypatch.undo()
+        assert result.counters["hedged"] > 0
+        assert result.counters["faults"] > 0
+        assert any(
+            r.report is not None and r.report.faults.get("lanes_dropped")
+            for r in result.responses
+        )
+        assert built == []
 
     def test_summary_shape(self, pool, trace):
         summary = self._fleet(pool).run_trace(trace).summary()
