@@ -100,7 +100,7 @@ class CPRecommender:
         scores = self.score_items(user, context)
         if exclude_rated and self._rated is not None:
             coords = self._rated.coords
-            rated_items = np.unique(coords[coords[:, 0] == user][:, 1])
+            rated_items = coords[coords[:, 0] == user][:, 1]
             scores = scores.copy()
             scores[rated_items] = -np.inf
         top = np.argsort(scores)[::-1][:k]

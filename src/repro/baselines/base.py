@@ -17,6 +17,7 @@ import numpy as np
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.tensor import SparseTensor
+from repro.util.arrays import count_distinct
 from repro.util.errors import KernelError
 
 
@@ -119,10 +120,8 @@ def tensor_workload(
         rest = [m for m in range(3) if m != mode]
         perm = tensor if mode == 0 else tensor.permute_modes([mode] + rest)
         coords = perm.coords
-        fibers = int(
-            np.unique(coords[:, 0] * perm.shape[1] + coords[:, 1]).shape[0]
-        )
-        out_rows = int(np.unique(coords[:, 0]).shape[0])
+        fibers = count_distinct(coords[:, 0] * perm.shape[1] + coords[:, 1])
+        out_rows = count_distinct(coords[:, 0])
         return WorkloadStats(
             kernel=kernel,
             dims=perm.shape,
@@ -180,7 +179,7 @@ def matrix_workload(
             dense=True,
         )
     coo = a.to_coo() if isinstance(a, CSRMatrix) else a
-    out_rows = int(np.unique(coo.rows).shape[0])
+    out_rows = count_distinct(coo.rows)
     return WorkloadStats(
         kernel=kernel,
         dims=coo.shape,

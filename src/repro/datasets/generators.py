@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.formats.coo import COOMatrix
 from repro.tensor import SparseTensor
+from repro.util.arrays import sorted_distinct
 from repro.util.errors import ShapeError
 from repro.util.rng import derive_seed, make_rng
 
@@ -24,10 +25,12 @@ def _unique_linear_sample(
         raise ShapeError(f"cannot place {count} nonzeros in {space} cells")
     if space <= 8 * count or space <= 1 << 22:
         return rng.choice(space, size=count, replace=False).astype(np.int64)
-    picked = np.unique(rng.integers(0, space, size=int(count * 1.2)))
+    picked = sorted_distinct(
+        np.sort(rng.integers(0, space, size=int(count * 1.2)))
+    )[0]
     while picked.shape[0] < count:
         extra = rng.integers(0, space, size=count)
-        picked = np.unique(np.concatenate([picked, extra]))
+        picked = sorted_distinct(np.sort(np.concatenate([picked, extra])))[0]
     rng.shuffle(picked)
     return np.sort(picked[:count])
 
@@ -101,12 +104,14 @@ def poisson3d_tensor(n: int, nnz: int, seed: int = 0) -> SparseTensor:
     ok = (j >= 0) & (j < n) & (k >= 0) & (k < n)
     i, j, k = i[ok], j[ok], k[ok]
     lin = (i * n + j) * n + k
-    lin = np.unique(lin)
+    lin = sorted_distinct(np.sort(lin))[0]
     while lin.shape[0] < nnz:
         i2 = rng.integers(0, n, size=nnz)
         j2 = np.clip(i2 + rng.integers(-band, band + 1, size=nnz), 0, n - 1)
         k2 = np.clip(i2 + rng.integers(-band, band + 1, size=nnz), 0, n - 1)
-        lin = np.unique(np.concatenate([lin, (i2 * n + j2) * n + k2]))
+        lin = sorted_distinct(
+            np.sort(np.concatenate([lin, (i2 * n + j2) * n + k2]))
+        )[0]
     rng.shuffle(lin)
     lin = lin[:nnz]
     coords = np.stack([lin // (n * n), (lin // n) % n, lin % n], axis=1)
@@ -159,11 +164,11 @@ def banded_matrix(n: int, nnz: int, seed: int = 0) -> COOMatrix:
     rows = rng.integers(0, n, size=int(nnz * 1.6))
     cols = rows + rng.integers(-band, band + 1, size=rows.shape[0])
     ok = (cols >= 0) & (cols < n)
-    lin = np.unique(rows[ok] * n + cols[ok])
+    lin = sorted_distinct(np.sort(rows[ok] * n + cols[ok]))[0]
     while lin.shape[0] < nnz:
         r2 = rng.integers(0, n, size=nnz)
         c2 = np.clip(r2 + rng.integers(-band, band + 1, size=nnz), 0, n - 1)
-        lin = np.unique(np.concatenate([lin, r2 * n + c2]))
+        lin = sorted_distinct(np.sort(np.concatenate([lin, r2 * n + c2])))[0]
     rng.shuffle(lin)
     lin = lin[:nnz]
     vals = rng.standard_normal(nnz)

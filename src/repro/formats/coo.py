@@ -6,6 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.util.arrays import sorted_distinct
 from repro.util.errors import ShapeError
 
 
@@ -42,7 +43,7 @@ class COOMatrix:
         # explicit zeros, so to_dense() and the kernels agree on semantics.
         if rows.size:
             key = rows * self.shape[1] + cols
-            unique_key, first = np.unique(key, return_index=True)
+            unique_key, first = sorted_distinct(key)
             if unique_key.shape[0] != key.shape[0]:
                 vals = np.add.reduceat(vals, first)
                 rows = rows[first]

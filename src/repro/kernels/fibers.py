@@ -25,6 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.tensor import SparseTensor
+from repro.util.arrays import sorted_distinct
 from repro.util.errors import KernelError
 from repro.util.validation import check_mode
 
@@ -134,7 +135,7 @@ def tsr_schedule(plan: FiberPlan) -> TSRSchedule:
     long_terms = n_terms[n_terms > _BLOCK]
     long_fibers = np.flatnonzero(n_terms > _BLOCK)
     # Fibers of one length split alike: lay their leaves out together.
-    for n in np.unique(long_terms):
+    for n in sorted_distinct(np.sort(long_terms))[0]:
         group = long_fibers[long_terms == n]
         leaves, merges, _ = _pairwise_split(int(n))
         offsets, sizes = np.array(leaves).T

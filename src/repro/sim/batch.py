@@ -42,6 +42,7 @@ from repro.formats.ciss import least_loaded_deal
 from repro.sim.costs import KernelCosts
 from repro.sim.lanes import lane_cycle_model, op_count_model
 from repro.sim.tiling import tile_count
+from repro.util.arrays import count_distinct, sorted_distinct
 
 __all__ = [
     "BatchTileStats",
@@ -114,14 +115,12 @@ class TensorTilePartition:
     @cached_property
     def num_tiles(self) -> int:
         """Number of nonempty tiles (cheap: no sort of the full stream)."""
-        return int(np.unique(self.tid).shape[0])
+        return count_distinct(self.tid)
 
     @cached_property
     def slice_visits(self) -> int:
         """Nonempty (tile, output-slice) pairs — direct-mode RMW visits."""
-        return int(
-            np.unique(self.tid * (self.dims[0] + 1) + self.coords[:, 0]).shape[0]
-        )
+        return count_distinct(self.tid * (self.dims[0] + 1) + self.coords[:, 0])
 
     @cached_property
     def _sorted(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -130,7 +129,7 @@ class TensorTilePartition:
         # alone leaves each tile's records in canonical order.
         order = np.argsort(tid, kind="stable")
         coords_s = coords[order]
-        uniq, first = np.unique(tid[order], return_index=True)
+        uniq, first = sorted_distinct(tid[order])
         bounds = np.append(first, coords.shape[0])
         return order, coords_s, uniq, bounds
 
@@ -184,18 +183,18 @@ class MatrixTilePartition:
 
     @cached_property
     def num_tiles(self) -> int:
-        return int(np.unique(self.tid).shape[0])
+        return count_distinct(self.tid)
 
     @cached_property
     def slice_visits(self) -> int:
-        return int(np.unique(self.tid * (self.dims[0] + 1) + self.rows).shape[0])
+        return count_distinct(self.tid * (self.dims[0] + 1) + self.rows)
 
     @cached_property
     def _sorted(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         order = np.lexsort((self.cols, self.rows, self.tid))
         rows_s = self.rows[order]
         cols_s = self.cols[order]
-        uniq, first = np.unique(self.tid[order], return_index=True)
+        uniq, first = sorted_distinct(self.tid[order])
         bounds = np.append(first, self.rows.shape[0])
         return order, rows_s, cols_s, uniq, bounds
 

@@ -32,6 +32,7 @@ from repro.sim.costs import kernel_costs
 from repro.sim.report import SimReport
 from repro.sim.tiling import make_plan, tile_count
 from repro.tensor import SparseTensor
+from repro.util.arrays import count_distinct
 from repro.util.errors import KernelError
 
 
@@ -144,14 +145,14 @@ class FastModel:
         tid = (
             (coords[:, 0] // plan.i_tile) * nj + coords[:, 1] // plan.j_tile
         ) * nk + coords[:, 2] // plan.k_tile
-        n_groups = int(np.unique(tid).shape[0])
+        n_groups = count_distinct(tid)
         fiber_key = tid * (dims[0] * dims[1] + 1) + (
             coords[:, 0] * dims[1] + coords[:, 1]
         )
-        n_fibers = int(np.unique(fiber_key).shape[0])
+        n_fibers = count_distinct(fiber_key)
         slice_key = tid * (dims[0] + 1) + coords[:, 0]
-        n_slice_visits = int(np.unique(slice_key).shape[0])
-        n_slices = int(np.unique(coords[:, 0]).shape[0])
+        n_slice_visits = count_distinct(slice_key)
+        n_slices = count_distinct(coords[:, 0])
         out_elems = (
             plan.f1_tile * plan.fiber_elems if base == "ttmc" else plan.fiber_elems
         )
@@ -194,10 +195,10 @@ class FastModel:
         costs = kernel_costs(kernel, cfg, plan.fiber_elems)
         nj = tile_count(dims[1], plan.j_tile)
         tid = (coo.rows // plan.i_tile) * nj + coo.cols // plan.j_tile
-        n_groups = int(np.unique(tid).shape[0])
+        n_groups = count_distinct(tid)
         visit_key = tid * (dims[0] + 1) + coo.rows
-        n_visits = int(np.unique(visit_key).shape[0])
-        n_rows = int(np.unique(coo.rows).shape[0])
+        n_visits = count_distinct(visit_key)
+        n_rows = count_distinct(coo.rows)
         return self._assemble(
             kernel, plan, costs, coo.nnz,
             headers=n_visits,

@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
+from repro.util.arrays import sorted_distinct
 from repro.util.errors import ShapeError
 from repro.util.validation import check_finite, check_mode
 
@@ -295,7 +296,7 @@ def _canonicalize(
     coords = coords[order]
     values = values[order]
     # Sum duplicates: segment by unique linear key.
-    unique_key, first = np.unique(key, return_index=True)
+    unique_key, first = sorted_distinct(key)
     if unique_key.shape[0] != key.shape[0]:
         summed = np.add.reduceat(values, first)
         coords = coords[first]

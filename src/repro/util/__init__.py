@@ -1,10 +1,12 @@
-"""Shared utilities: errors, validation helpers, deterministic RNG.
+"""Shared utilities: errors, validation helpers, deterministic RNG and
+sort-based distinct counts.
 
 These are deliberately small and dependency-free so every other subpackage
 (tensor substrate, formats, simulator, baselines) can rely on them without
 import cycles.
 """
 
+from repro.util.arrays import count_distinct, sorted_distinct
 from repro.util.errors import (
     ReproError,
     ShapeError,
@@ -33,4 +35,6 @@ __all__ = [
     "check_mode",
     "check_positive",
     "check_shape_match",
+    "count_distinct",
+    "sorted_distinct",
 ]

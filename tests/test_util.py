@@ -1,7 +1,10 @@
-"""Tests for repro.util: errors, rng, validation."""
+"""Tests for repro.util: errors, rng, validation, distinct counts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.util import (
     ConfigError,
@@ -13,8 +16,10 @@ from repro.util import (
     check_mode,
     check_positive,
     check_shape_match,
+    count_distinct,
     derive_seed,
     make_rng,
+    sorted_distinct,
     uniform,
 )
 from repro.util.validation import check_sorted_unique
@@ -125,3 +130,42 @@ class TestValidation:
         check_sorted_unique("s", (i * 2 for i in range(5)))
         with pytest.raises(ShapeError, match=r"values\[2\]=3"):
             check_sorted_unique("s", (x for x in [1, 3, 3]))
+
+
+def _check_distinct(a):
+    """Both helpers agree with ``np.unique`` on ``a``, dtypes included."""
+    assert count_distinct(a) == np.unique(a).shape[0]
+    s = np.sort(a)
+    values, first = sorted_distinct(s)
+    want_values, want_first = np.unique(s, return_index=True)
+    assert values.dtype == want_values.dtype
+    assert first.dtype == want_first.dtype
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(first, want_first)
+
+
+class TestDistinct:
+    """The sort-based helpers against ``np.unique``, so that a numpy
+    upgrade cannot make them drift apart silently."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("values", [
+        [], [7], [3, 3, 3, 3], [-5, 2, -5, 0, 2, -1, -5],
+    ])
+    def test_edge_cases(self, dtype, values):
+        _check_distinct(np.array(values, dtype=dtype))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_int64_keys(self, seed):
+        rng = make_rng(seed)
+        a = rng.integers(-(2**62), 2**62, size=3000)
+        _check_distinct(np.concatenate([a, a[::7], -a[:50]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        dtype=st.sampled_from([np.int64, np.int32]),
+        shape=st.integers(0, 300),
+        elements=st.integers(-40, 40),
+    ))
+    def test_matches_np_unique(self, a):
+        _check_distinct(a)
