@@ -39,6 +39,26 @@ class SimReport:
         default=None, compare=False, repr=False
     )
 
+    def clone(self, faults: Optional[Dict[str, int]] = None) -> "SimReport":
+        """A copy that shares only ``output`` with this report.
+
+        ``detail``, ``fault_events``, ``phase_cycles`` and ``faults``
+        (``faults`` itself when given) are the copy's own, so a memo can
+        hand out one clone per launch and keep its stored report, whose
+        output it makes read-only, intact. Copies ``__dict__`` instead of
+        going through ``dataclasses.replace``, which re-runs
+        ``__init__`` at about three times the cost.
+        """
+        state = self.__dict__.copy()
+        state["detail"] = dict(self.detail)
+        state["faults"] = dict(self.faults) if faults is None else faults
+        state["fault_events"] = list(self.fault_events)
+        if self.phase_cycles is not None:
+            state["phase_cycles"] = dict(self.phase_cycles)
+        copy = SimReport.__new__(SimReport)
+        copy.__dict__ = state
+        return copy
+
     @property
     def total_bytes(self) -> int:
         return self.tensor_bytes + self.matrix_bytes + self.output_bytes
