@@ -134,12 +134,32 @@ def test_declined_replay_consumes_nothing(pool):
     assert plain.replay(clean).faults == {}
 
 
+@pytest.mark.parametrize("order", [
+    (TIER_FULL, TIER_BATCHED), (TIER_BATCHED, TIER_FULL),
+])
+@pytest.mark.parametrize("name, kernel", [
+    ("tensor-s", "mttkrp"), ("tensor-s", "ttmc"),
+    ("matrix-s", "spmm"), ("matrix-s", "spmv"),
+])
+def test_one_live_launch_answers_both_simulator_tiers(
+    pool, live_runs, name, kernel, order
+):
+    item = pool[name]
+    ladder = DegradationLadder()
+    acc = Tensaurus()
+    for tier in order:
+        report = ladder.execute(tier, item, kernel, acc)[0]
+        want = item.run(kernel, Tensaurus(), compute_output=tier == TIER_FULL)
+        assert fields(report) == fields(want)
+    assert live_runs(acc) == 1
+
+
 def test_returned_reports_share_no_mutable_state(pool):
     ladder = DegradationLadder()
     acc = Tensaurus()
     item = pool["matrix-s"]
     direct = item.run("spmm", Tensaurus())
-    for tier in (TIER_FULL, TIER_ANALYTIC):
+    for tier in (TIER_FULL, TIER_BATCHED, TIER_ANALYTIC):
         first = ladder.execute(tier, item, "spmm", acc)[0]
         expected = fields(first)
         for _ in range(2):
@@ -197,5 +217,6 @@ def test_observed_fleet_reports_every_replayed_launch(live_runs):
         for acc in shard.server.accelerators
     ]
     assert sum(live_runs(acc) for acc in accelerators) < len(executed) // 4
-    # At most one entry per tier for each (kernel, workload) served.
-    assert len(ladder._memo) <= 3 * len(pool.choices())
+    # At most one simulator and one analytic entry for each (kernel,
+    # workload) served.
+    assert len(ladder._memo) <= 2 * len(pool.choices())
