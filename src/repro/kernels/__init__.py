@@ -24,10 +24,8 @@ from repro.kernels.ttmc import (
 )
 from repro.kernels.matmul import gemm, gemv, spmm, spmv
 from repro.kernels.sf3 import (
-    SF3ArraySpec,
     SF3Spec,
     execute_sf3,
-    execute_sf3_arrays,
     sf3_spec_mttkrp,
     sf3_spec_ttmc,
     sf3_spec_spmm,
@@ -52,10 +50,8 @@ __all__ = [
     "gemv",
     "spmm",
     "spmv",
-    "SF3ArraySpec",
     "SF3Spec",
     "execute_sf3",
-    "execute_sf3_arrays",
     "sf3_spec_mttkrp",
     "sf3_spec_ttmc",
     "sf3_spec_spmm",

@@ -78,7 +78,6 @@ class Rule:
 #: must simply never flip from True to False.
 HEADLINES: Dict[str, Tuple[Rule, ...]] = {
     "BENCH_sim": (
-        Rule(r"mttkrp\.(cold|cached)_speedup", "higher", 0.30),
         Rule(r"mttkrp\.cycles", "lower", 0.0),
         Rule(r"mttkrp\.identical", "gate"),
         Rule(r"cp_als\.cache_hit_speedup", "higher", 0.30),

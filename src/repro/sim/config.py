@@ -94,10 +94,6 @@ class TensaurusConfig:
     #: cycles a PE spends per lane record: one SPM access + one SIMD MAC
     #: ("each PE spends every other clock cycle to access the scratchpads").
     cycles_per_record: int = 2
-    #: use the batched tile pipeline (segmented lane analysis over the whole
-    #: operand). False falls back to the per-tile CISS-encode-and-analyze
-    #: reference engine — bit-identical timing, for debugging.
-    batch_tiles: bool = True
     #: LRU capacity of the per-accelerator encoding cache (fiber plans,
     #: tile partitions, batched lane statistics). 0 disables caching.
     encoding_cache_entries: int = 64

@@ -10,9 +10,10 @@ per-column ``np.bincount``. A match proves both changes are exact:
   so any reassociation of a sum changes the bytes;
 - ``LAUNCH_GOLDEN`` hashes every timing-facing report field (cycles, ops,
   per-stream bytes, ``detail``) plus the output bytes of ``run_mttkrp`` /
-  ``run_ttmc`` over all modes and both MSU choices, on the batched and
-  the per-tile engine, with tiles small enough that each launch spans
-  many of them.
+  ``run_ttmc`` over all modes and both MSU choices, with tiles small
+  enough that each launch spans many of them. The deleted per-tile
+  engine reproduced the same two digests; the keys keep their
+  ``batched/`` prefix.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ KERNEL_GOLDEN = {
 LAUNCH_GOLDEN = {
     "batched/wide": "b3dccfe4f6d18bca9115f7e84c5cce94a1e53e95f5a1844da9975fed966f0d28",
     "batched/deep": "88d758a602a08a4778afd1e868add26dfb55d46f6844fb4ab3c8f56d5c60015d",
-    "per-tile/wide": "b3dccfe4f6d18bca9115f7e84c5cce94a1e53e95f5a1844da9975fed966f0d28",
-    "per-tile/deep": "88d758a602a08a4778afd1e868add26dfb55d46f6844fb4ab3c8f56d5c60015d",
 }
 
 
@@ -118,10 +117,8 @@ def test_factored_kernel_output_bytes(key):
 
 @pytest.mark.parametrize("key", sorted(LAUNCH_GOLDEN))
 def test_launch_report_fields(key):
-    engine, name = key.split("/")
-    acc = Tensaurus(TensaurusConfig(
-        spm_kb=2, msu_kb=8, batch_tiles=engine == "batched"
-    ))
+    _, name = key.split("/")
+    acc = Tensaurus(TensaurusConfig(spm_kb=2, msu_kb=8))
     rows = launch_rows(acc, name)
     got = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert got == LAUNCH_GOLDEN[key]

@@ -26,24 +26,30 @@ from tests.conftest import random_tensor
 
 
 class TestSpecValidation:
+    @staticmethod
+    def spec(rng, fiber1, op, group_ptr=(0,)):
+        """A spec over an empty iteration space."""
+        return SF3Spec(
+            kernel="x", group_ids=[], group_ptr=list(group_ptr), d1_idx=[],
+            d1_ptr=[0], d0_idx=[], d0_val=[], fiber0=rng.random((2, 2)),
+            fiber1=fiber1, op=op, out_shape=(2, 2),
+        )
+
     def test_unknown_op_rejected(self, rng):
         with pytest.raises(KernelError):
-            SF3Spec(
-                kernel="x", groups={}, fiber0=rng.random((2, 2)),
-                fiber1=rng.random((2, 2)), op="cross", out_shape=(2, 2),
-            )
+            self.spec(rng, rng.random((2, 2)), "cross")
 
     def test_op_fiber1_consistency(self, rng):
         with pytest.raises(KernelError):
-            SF3Spec(
-                kernel="x", groups={}, fiber0=rng.random((2, 2)),
-                fiber1=None, op="hadamard", out_shape=(2, 2),
-            )
+            self.spec(rng, None, "hadamard")
         with pytest.raises(KernelError):
-            SF3Spec(
-                kernel="x", groups={}, fiber0=rng.random((2, 2)),
-                fiber1=rng.random((2, 2)), op=None, out_shape=(2, 2),
-            )
+            self.spec(rng, rng.random((2, 2)), None)
+
+    def test_segment_pointers_validated(self, rng):
+        assert self.spec(rng, None, None).num_groups == 0
+        for bad in ((), (1,), (0, 0)):
+            with pytest.raises(KernelError):
+                self.spec(rng, None, None, group_ptr=bad)
 
 
 class TestTable1Mappings:
@@ -100,12 +106,13 @@ class TestDomains:
         b = rng.random((2, 2))
         c = rng.random((2, 2))
         spec = sf3_spec_mttkrp(paper_tensor, b, c, 0)
+        assert spec.group_ids.tolist() == [0, 1, 2, 3]
         # Slice 1 has a single fiber at j=1 (a111).
-        assert [d1 for d1, _ in spec.groups[1]] == [1]
+        assert spec.d1_idx[spec.group_ptr[1]:spec.group_ptr[2]].tolist() == [1]
         # Slice 2's fiber j=0 holds two D0 points (k=0 and k=1).
-        (j, d0_points), = spec.groups[2]
-        assert j == 0
-        assert [k for k, _ in d0_points] == [0, 1]
+        p = spec.group_ptr[2]
+        assert spec.group_ptr[3] - p == 1 and spec.d1_idx[p] == 0
+        assert spec.d0_idx[spec.d1_ptr[p]:spec.d1_ptr[p + 1]].tolist() == [0, 1]
 
     def test_flop_count_positive(self, small_tensor, rng):
         b = rng.random((small_tensor.shape[1], 4))
