@@ -21,8 +21,9 @@ results to ``BENCH_chaos.json``:
 
 ``--check-baseline`` re-runs the benchmark and compares against the
 committed ``BENCH_chaos.json``: every boolean gate must still hold,
-and (at matching scale) the search digest must be bit-identical and
-the shrink ratio must not regress.
+and (at matching scale: the same ``--smoke`` flag and schedule budget)
+the search digest must be bit-identical and the shrink ratio must not
+regress.
 
 Run as ``PYTHONPATH=src python benchmarks/bench_chaos.py`` (add
 ``--smoke`` for the short CI workload).
@@ -166,6 +167,11 @@ GATES = (
 )
 
 
+#: Result keys that fix the run's scale; the search digest and the shrink
+#: ratio are compared only between runs that agree on all of them.
+SCALE_KEYS = ("smoke", "budget")
+
+
 def check_baseline(results, baseline_path: Path) -> bool:
     """Compare a fresh run against the committed baseline JSON."""
     if not baseline_path.exists():
@@ -177,7 +183,7 @@ def check_baseline(results, baseline_path: Path) -> bool:
         if baseline.get(gate) and not results.get(gate):
             print(f"baseline regression: gate {gate} was true, now false")
             ok = False
-    if baseline.get("smoke") == results.get("smoke"):
+    if all(baseline.get(k) == results.get(k) for k in SCALE_KEYS):
         if baseline["search"]["digest"] != results["search"]["digest"]:
             print(
                 "baseline regression: search digest changed — the "
@@ -194,7 +200,9 @@ def check_baseline(results, baseline_path: Path) -> bool:
                 )
                 ok = False
     else:
-        print("baseline scale differs (smoke flag); gates checked only")
+        print(
+            "baseline scale differs (smoke flag or budget); gates checked only"
+        )
     return ok
 
 
