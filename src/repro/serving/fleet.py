@@ -77,7 +77,11 @@ from repro.serving.request import (
     ServingResponse,
 )
 from repro.serving.ring import HashRing
-from repro.serving.server import ServingResult, TensaurusServer
+from repro.serving.server import (
+    _FAULT_DETECT_FRACTION,
+    ServingResult,
+    TensaurusServer,
+)
 from repro.serving.tenant import TenantGovernor, TenantQuota
 from repro.serving.trace import WorkloadPool
 from repro.sim.config import TensaurusConfig
@@ -87,10 +91,6 @@ from repro.util.errors import ConfigError, FaultError
 from repro.util.rng import DEFAULT_SEED, derive_seed, uniform
 
 logger = obs.get_logger(__name__)
-
-#: Fraction of the nominal service time after which a faulted launch is
-#: detected (mirrors the single-server constant).
-_FAULT_DETECT_FRACTION = 0.25
 
 ROUTING_AFFINITY = "affinity"
 ROUTING_RANDOM = "random"
