@@ -47,7 +47,6 @@ from repro.tune import (
 SEED = 0
 FULL_BUDGET = 40
 SMOKE_BUDGET = 8
-WORKERS = 4
 #: Gate floors.
 IMPROVEMENT_FLOOR = 0.10
 IMPROVED_KERNELS_FLOOR = 3
@@ -83,8 +82,7 @@ def bench_one(label: str, kernel: str, dataset: str, rank: int,
 
     def tuner(store):
         return Tuner(
-            workload, _space(smoke), seed=SEED, budget=budget,
-            workers=WORKERS, store=store,
+            workload, _space(smoke), seed=SEED, budget=budget, store=store
         )
 
     with tempfile.TemporaryDirectory() as tmp_a, \
@@ -94,7 +92,7 @@ def bench_one(label: str, kernel: str, dataset: str, rank: int,
         cold_again = tuner(ArtifactStore(tmp_b)).search()
         warm = tuner(store_a).search()
         grid_params, grid_cycles, grid_sims = exhaustive_search(
-            workload, _space(smoke), workers=WORKERS, store=store_a
+            workload, _space(smoke), store=store_a
         )
 
     grid_total = cold.space_size + 1  # what a cold grid would simulate

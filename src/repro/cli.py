@@ -274,9 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--budget", type=int, default=40,
                       help="oracle measurement budget (design points)")
     tune.add_argument("--seed", type=int, default=0, help="search seed")
-    tune.add_argument("--workers", type=int, default=None,
-                      help="fan oracle sims over N processes (shared-memory "
-                      "operand handoff)")
     tune.add_argument("--quick-space", action="store_true",
                       help="use the 16-point smoke space instead of the "
                       "324-point default space")
@@ -915,8 +912,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     )
     space = quick_space() if args.quick_space else default_space()
     tuner = Tuner(
-        workload, space, seed=args.seed, budget=args.budget,
-        workers=args.workers, store=store,
+        workload, space, seed=args.seed, budget=args.budget, store=store
     )
     print(
         f"tuning {workload.name}: space of {len(space)} configs, "

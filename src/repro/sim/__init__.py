@@ -18,7 +18,6 @@ Two execution engines share one timing model:
 """
 
 from repro.sim.config import TensaurusConfig, HBM_PRESET, DDR4_PRESET, MemoryConfig
-from repro.sim.shm import SharedOperands
 from repro.sim.batch import (
     BatchTileStats,
     EncodingCache,
@@ -58,7 +57,6 @@ from repro.sim.driver import (
 __all__ = [
     "TensaurusConfig",
     "MemoryConfig",
-    "SharedOperands",
     "BatchTileStats",
     "EncodingCache",
     "MatrixTilePartition",

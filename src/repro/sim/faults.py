@@ -8,8 +8,9 @@ keyed by ``(kernel, run index, retry epoch, fault class)``: a launch's
 abort and each lane's dropout are single :func:`repro.util.rng.uniform`
 draws on that label path, and the per-tile SPM and HBM draws come from a
 :func:`repro.util.rng.derive_seed` stream on it. So the same plan replayed
-against the same workload yields the *same* fault timeline — across runs
-and across ``sweep_configs`` worker counts.
+against the same workload yields the *same* fault timeline — across runs,
+and whether ``sweep_configs`` evaluates a point in-process or in a pool
+worker.
 
 Detection and recovery are costed, not hand-waved:
 

@@ -6,6 +6,12 @@ ablations (and downstream users sizing their own deployment) get a uniform
 interface: give it a base config, a dict of parameter lists, and a runner,
 and it returns one record per design point.
 
+The sweep decides itself whether to evaluate the points in-process or on
+a process pool: a pool pays for its start-up only when every worker gets
+at least ``_POINTS_PER_WORKER`` points, and it never gets more workers
+than the CPUs this process may run on. Either way the results are the
+same list in the same order.
+
 Robustness: a point whose simulation faults (an armed
 :class:`~repro.sim.faults.FaultPlan`, or any
 :class:`~repro.util.errors.SimulationError`) can be retried
@@ -19,11 +25,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import pickle
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,7 +80,7 @@ class SweepResult(List[DesignPoint]):
     """The sweep's design points (a list, in grid order) plus bookkeeping:
     ``failures`` holds the points that exhausted their retries or timed
     out (``allow_partial=True``), ``fallback_reason`` records why a
-    parallel sweep fell back to serial evaluation (unpicklable runner)."""
+    pooled sweep fell back to serial evaluation (unpicklable runner)."""
 
     def __init__(self, points: Sequence[DesignPoint] = ()) -> None:
         super().__init__(points)
@@ -133,29 +139,55 @@ class SweepResult(List[DesignPoint]):
 
 
 def _evaluate_point(
-    item: Tuple[TensaurusConfig, Callable[[Tensaurus], SimReport], int]
+    config: TensaurusConfig,
+    runner: Callable[[Tensaurus], SimReport],
+    max_retries: int,
+    timeout_s: Optional[float],
 ) -> Tuple[str, object, int]:
-    """Worker body: run one design point (module-level, so it pickles).
+    """Run one design point, serially or in a pool worker.
 
     Returns ``("ok", report, attempts)`` or ``("fail", reason, attempts)``.
     Each retry runs on a fresh fault epoch, so an armed fault plan does not
-    deterministically re-fail the point.
+    deterministically re-fail the point. The point is timed where it runs:
+    one that succeeds after more than ``timeout_s`` is reported as timed
+    out.
     """
-    config, runner, max_retries = item
+    start = time.monotonic()
     last: Optional[BaseException] = None
     for attempt in range(max_retries + 1):
         try:
             report = runner(Tensaurus(config, fault_epoch=attempt))
-            return ("ok", report, attempt + 1)
         except (FaultError, SimulationError) as exc:
             last = exc
+            continue
+        elapsed = time.monotonic() - start
+        if timeout_s is not None and elapsed > timeout_s:
+            return (
+                "fail",
+                f"timeout after {timeout_s}s ({elapsed:.3f}s)",
+                attempt + 1,
+            )
+        return ("ok", report, attempt + 1)
     return ("fail", repr(last), max_retries + 1)
 
 
+#: Design points each pool worker must get before a pool beats serial
+#: evaluation. Measured on a 2-core VM with the tuner's oracle runners
+#: (mttkrp/nell-2, spmv/wiki-Vote): 4 points ran as fast serially as on
+#: two workers, and 8 points ran faster on two workers in every pair.
+_POINTS_PER_WORKER = 4
+
+
+def _pool_size(points: int) -> int:
+    """Workers for a sweep of ``points`` design points; below 2 the sweep
+    runs serially. Counts the CPUs this process may run on, not the host's.
+    """
+    return min(len(os.sched_getaffinity(0)), points // _POINTS_PER_WORKER)
+
+
 # The runner rides to each worker exactly once, through the pool
-# initializer; per-point submissions then carry only (config, max_retries).
-# Before this, every submit re-pickled the runner — and with it any operand
-# tensors it closed over — once per design point.
+# initializer; per-point submissions then carry only the design-point
+# config and the retry and timeout settings.
 _pool_runner: Optional[Callable[[Tensaurus], SimReport]] = None
 
 
@@ -166,11 +198,11 @@ def _init_pool_worker(runner_blob: bytes) -> None:
 
 
 def _evaluate_point_pooled(
-    config: TensaurusConfig, max_retries: int
+    config: TensaurusConfig, max_retries: int, timeout_s: Optional[float]
 ) -> Tuple[str, object, int]:
     """Worker body for pooled sweeps: uses the initializer-installed runner."""
     assert _pool_runner is not None, "pool worker initializer did not run"
-    return _evaluate_point((config, _pool_runner, max_retries))
+    return _evaluate_point(config, _pool_runner, max_retries, timeout_s)
 
 
 # Runners already warned about (unpicklable → serial fallback), so a
@@ -196,7 +228,6 @@ def sweep_configs(
     base: TensaurusConfig,
     grid: Dict[str, Sequence],
     runner: Callable[[Tensaurus], SimReport],
-    workers: Optional[int] = None,
     timeout_s: Optional[float] = None,
     max_retries: int = 0,
     allow_partial: bool = False,
@@ -207,29 +238,27 @@ def sweep_configs(
     sweep takes their Cartesian product. ``runner`` receives a fresh
     :class:`Tensaurus` per point and returns its :class:`SimReport`.
 
-    ``workers`` > 1 fans the points out over a process pool. Results come
-    back in grid order regardless of completion order, so parallel and
-    serial sweeps return identical lists (fault injection included: every
-    point draws from streams keyed by its own config and attempt, never by
-    scheduling). The runner is serialized once and handed to each worker
-    through the pool initializer, so per-point submissions carry only the
-    design-point config — a runner closing over large operands costs its
-    pickle size per worker, not per point; wrap the operands in
-    :class:`repro.sim.shm.SharedOperands` to drop even that to metadata
-    bytes. The runner (and everything it closes over) must pickle;
-    if it does not, the sweep logs a warning on the ``repro.sim.sweep``
-    logger with the pickling error (once per runner), records it as
-    ``fallback_reason``, and falls back to serial evaluation. (Worker processes do not share the
-    parent's observation state, so per-launch tracing covers serial sweeps
-    only; the sweep-level span and point counters are always recorded in
-    the submitting process.)
+    A grid large enough to give every worker ``_POINTS_PER_WORKER`` points
+    fans out over a process pool of up to one worker per usable CPU;
+    smaller grids run in-process. Results come back in grid order either
+    way, and both paths return identical lists (fault injection included:
+    every point draws from streams keyed by its own config and attempt,
+    never by scheduling). The runner is serialized once and handed to
+    each worker through the pool initializer, so a runner closing over
+    large operands costs its pickle size per worker, not per point. A
+    runner that does not pickle runs serially: the sweep logs a warning
+    on the ``repro.sim.sweep`` logger with the pickling error (once per
+    runner) and records it as ``fallback_reason``. (Worker processes do
+    not share the parent's observation state, so per-launch tracing
+    covers serial sweeps only; the sweep-level span and point counters
+    are always recorded in the submitting process.)
 
     ``max_retries`` re-attempts a faulting point (fresh fault epoch each
-    time); ``timeout_s`` bounds one point's evaluation — enforced
-    preemptively in parallel mode, detected after the fact in serial mode
-    (the point still runs to completion but is reported as timed out).
-    A point that stays failed raises (``allow_partial=False``) or is
-    recorded on ``SweepResult.failures`` (``allow_partial=True``).
+    time). ``timeout_s`` bounds one point's evaluation, timed where the
+    point runs: a point that takes longer still runs to completion, on
+    either path, and is then reported as timed out. A point that stays
+    failed raises (``allow_partial=False``) or is recorded on
+    ``SweepResult.failures`` (``allow_partial=True``).
     """
     if not grid:
         raise ConfigError("empty parameter grid")
@@ -242,7 +271,7 @@ def sweep_configs(
         params = dict(zip(names, combo))
         combos.append((params, base.scaled(**params)))
     return _evaluate_combos(
-        combos, runner, workers=workers, timeout_s=timeout_s,
+        combos, runner, timeout_s=timeout_s,
         max_retries=max_retries, allow_partial=allow_partial,
     )
 
@@ -251,7 +280,6 @@ def sweep_points(
     base: TensaurusConfig,
     points: Sequence[Dict[str, object]],
     runner: Callable[[Tensaurus], SimReport],
-    workers: Optional[int] = None,
     timeout_s: Optional[float] = None,
     max_retries: int = 0,
     allow_partial: bool = False,
@@ -263,14 +291,14 @@ def sweep_points(
     entry of ``points`` is a dict of :class:`TensaurusConfig` field
     overrides applied to ``base`` (an empty dict evaluates ``base``
     itself). Results come back in ``points`` order with the same
-    parallelism, retry, timeout and partial-failure semantics as
+    pool choice, retry, timeout and partial-failure semantics as
     :func:`sweep_configs`.
     """
     if not points:
         raise ConfigError("empty design-point list")
     combos = [(dict(params), base.scaled(**params)) for params in points]
     return _evaluate_combos(
-        combos, runner, workers=workers, timeout_s=timeout_s,
+        combos, runner, timeout_s=timeout_s,
         max_retries=max_retries, allow_partial=allow_partial,
     )
 
@@ -278,7 +306,6 @@ def sweep_points(
 def _evaluate_combos(
     combos: List[Tuple[Dict[str, object], TensaurusConfig]],
     runner: Callable[[Tensaurus], SimReport],
-    workers: Optional[int],
     timeout_s: Optional[float],
     max_retries: int,
     allow_partial: bool,
@@ -289,63 +316,45 @@ def _evaluate_combos(
     if timeout_s is not None and timeout_s <= 0:
         raise ConfigError("timeout_s must be positive")
     result = SweepResult()
-    outcomes: Optional[List[Tuple[str, object, int]]] = None
+    workers = _pool_size(len(combos))
+    runner_blob = None
+    if workers >= 2:
+        try:
+            runner_blob = pickle.dumps(runner)
+        except Exception as exc:
+            result.fallback_reason = repr(exc)
+            _warn_unpicklable(runner, exc)
+    if runner_blob is None:
+        workers = 1
     point_counter = obs.metrics().counter(
         "sweep.points", "sweep design points by outcome", ("status",)
     )
     with obs.tracer().span(
-        "sweep_configs",
-        args={"points": len(combos), "workers": int(workers or 1)},
+        "sweep_configs", args={"points": len(combos), "workers": workers},
     ):
-        if workers is not None and workers > 1 and len(combos) > 1:
+        if runner_blob is not None:
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_pool_worker,
+                initargs=(runner_blob,),
+            )
             try:
-                runner_blob = pickle.dumps(runner)
-            except Exception as exc:
-                result.fallback_reason = repr(exc)
-                _warn_unpicklable(runner, exc)
-            else:
-                max_workers = min(workers, len(combos))
-                pool = ProcessPoolExecutor(
-                    max_workers=max_workers,
-                    initializer=_init_pool_worker,
-                    initargs=(runner_blob,),
-                )
-                try:
-                    futures = [
-                        pool.submit(
-                            _evaluate_point_pooled, config, max_retries
-                        )
-                        for _, config in combos
-                    ]
-                    outcomes = []
-                    for future in futures:
-                        try:
-                            outcomes.append(future.result(timeout=timeout_s))
-                        except FutureTimeoutError:
-                            future.cancel()
-                            outcomes.append(
-                                ("fail", f"timeout after {timeout_s}s", 1)
-                            )
-                finally:
-                    pool.shutdown(wait=False, cancel_futures=True)
-        if outcomes is None:
+                futures = [
+                    pool.submit(
+                        _evaluate_point_pooled, config, max_retries, timeout_s
+                    )
+                    for _, config in combos
+                ]
+                outcomes = [future.result() for future in futures]
+            finally:
+                pool.shutdown(wait=False, cancel_futures=True)
+        else:
             outcomes = []
             for params, config in combos:
-                start = time.monotonic()
                 with obs.tracer().span("sweep.point", args=params):
-                    outcome = _evaluate_point((config, runner, max_retries))
-                elapsed = time.monotonic() - start
-                if (
-                    timeout_s is not None
-                    and elapsed > timeout_s
-                    and outcome[0] == "ok"
-                ):
-                    outcome = (
-                        "fail",
-                        f"timeout after {timeout_s}s ({elapsed:.3f}s)",
-                        outcome[2],
+                    outcomes.append(
+                        _evaluate_point(config, runner, max_retries, timeout_s)
                     )
-                outcomes.append(outcome)
 
         for (params, config), (status, payload, attempts) in zip(
             combos, outcomes

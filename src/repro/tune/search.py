@@ -14,8 +14,8 @@ The :class:`Tuner` runs a seeded successive-refinement loop over a
    exploration pick, until the measurement budget is spent.
 
 The cycle-level oracle is dispatched through
-:func:`repro.sim.sweep.sweep_points` (process fan-out with a
-shared-memory operand handoff when ``workers > 1``) and memoized in an
+:func:`repro.sim.sweep.sweep_points` (which fans a batch out over a
+process pool when it is large enough to pay for one) and memoized in an
 :class:`~repro.artifacts.ArtifactStore` keyed on the workload fingerprint
 and the realized config — a re-run of the same search costs zero
 simulations and returns a bit-identical outcome.
@@ -180,7 +180,6 @@ class Tuner:
         seed: int = 0,
         budget: int = 32,
         batch: Optional[int] = None,
-        workers: Optional[int] = None,
         store: Optional[ArtifactStore] = None,
         ridge_lambda: float = 1e-2,
     ) -> None:
@@ -194,26 +193,30 @@ class Tuner:
         self.seed = int(seed)
         self.budget = int(budget)
         self.batch = int(batch) if batch else max(2, min(8, budget // 4))
-        self.workers = workers
         self.store = store
         self.model = CostModel(ridge_lambda=ridge_lambda)
         self.oracle_sims = 0
         self.cache_hits = 0
 
     # ------------------------------------------------------------------
-    def _oracle_parts(self, config: TensaurusConfig) -> tuple:
-        return (ORACLE_SCHEMA, self.workload.fingerprint(), repr(config))
-
     def _measure(
         self, points: Sequence[Dict[str, object]], runner
     ) -> List[Measurement]:
         """Oracle-measure ``points`` (store-memoized), preserving order."""
+        # One content hash of the operand per batch, not two per point.
+        workload_key = (
+            self.workload.fingerprint() if self.store is not None else None
+        )
+
+        def oracle_parts(config: TensaurusConfig) -> tuple:
+            return (ORACLE_SCHEMA, workload_key, repr(config))
+
         cached: Dict[int, dict] = {}
         misses: List[Tuple[int, Dict[str, object]]] = []
         for i, params in enumerate(points):
             config = self.base.scaled(**params)
             summary = (
-                self.store.load(ORACLE_NAMESPACE, self._oracle_parts(config))
+                self.store.load(ORACLE_NAMESPACE, oracle_parts(config))
                 if self.store is not None
                 else None
             )
@@ -228,10 +231,7 @@ class Tuner:
         counter.labels(status="cached").inc(len(cached))
         if misses:
             result = sweep_points(
-                self.base,
-                [params for _, params in misses],
-                runner,
-                workers=self.workers,
+                self.base, [params for _, params in misses], runner
             )
             self.oracle_sims += len(misses)
             counter.labels(status="sim").inc(len(misses))
@@ -245,10 +245,9 @@ class Tuner:
                 cached[i] = summary
                 if self.store is not None:
                     self.store.put(
-                        ORACLE_NAMESPACE,
-                        self._oracle_parts(point.config),
-                        summary,
+                        ORACLE_NAMESPACE, oracle_parts(point.config), summary
                     )
+        missed = {i for i, _ in misses}
         out: List[Measurement] = []
         for i, params in enumerate(points):
             s = cached[i]
@@ -258,7 +257,7 @@ class Tuner:
                     cycles=s["cycles"],
                     ops=s["ops"],
                     total_bytes=s["total_bytes"],
-                    source="cache" if i not in {m for m, _ in misses} else "sim",
+                    source="sim" if i in missed else "cache",
                 )
             )
         return out
@@ -269,25 +268,15 @@ class Tuner:
         wl = self.workload
         candidates = self.space.points()
         rng = make_rng(self.seed)
-        shm = None
-        if self.workers and self.workers > 1:
-            shm, runner = wl.shared()
-        else:
-            runner = wl.runner()
-        try:
-            with obs.tracer().span(
-                "tune.search",
-                args={
-                    "workload": wl.name,
-                    "budget": self.budget,
-                    "space": len(candidates),
-                },
-            ):
-                return self._search(candidates, rng, runner)
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+        with obs.tracer().span(
+            "tune.search",
+            args={
+                "workload": wl.name,
+                "budget": self.budget,
+                "space": len(candidates),
+            },
+        ):
+            return self._search(candidates, rng, wl.runner())
 
     def _search(self, candidates, rng, runner) -> TuneOutcome:
         wl = self.workload
@@ -405,7 +394,6 @@ def exhaustive_search(
     space: ConfigSpace,
     base: Optional[TensaurusConfig] = None,
     *,
-    workers: Optional[int] = None,
     store: Optional[ArtifactStore] = None,
 ) -> Tuple[Dict[str, object], int, int]:
     """Oracle-measure *every* point (the tuner's ground-truth baseline).
@@ -414,22 +402,10 @@ def exhaustive_search(
     memoized oracle, so a grid run after a search only simulates the
     points the search skipped.
     """
-    tuner = Tuner(
-        workload, space, base, budget=2, workers=workers, store=store
-    )
-    shm = None
-    if workers and workers > 1:
-        shm, runner = workload.shared()
-    else:
-        runner = workload.runner()
-    try:
-        points = space.points()
-        baseline = tuner._measure([{}], runner)[0]
-        batch = tuner._measure(points, runner)
-    finally:
-        if shm is not None:
-            shm.close()
-            shm.unlink()
+    tuner = Tuner(workload, space, base, budget=2, store=store)
+    runner = workload.runner()
+    baseline = tuner._measure([{}], runner)[0]
+    batch = tuner._measure(space.points(), runner)
     best = min(batch, key=lambda m: (m.cycles, _point_key(m.params)))
     if best.cycles >= baseline.cycles:
         best = baseline

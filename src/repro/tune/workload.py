@@ -6,13 +6,12 @@ tier of the tuner can consume:
 
 - the **cheap tier** calls :meth:`fast_report` (closed-form
   :class:`~repro.sim.perfmodel.FastModel`);
-- the **oracle tier** calls :meth:`runner`, a picklable callable suitable
-  for :func:`repro.sim.sweep.sweep_points` process fan-out. The dense
-  factor operands are synthesized deterministically inside the worker from
-  shapes (timing ignores values under ``compute_output=False``), so only
-  the sparse structure rides to workers — and with :meth:`shared`, even
-  that collapses to shared-memory segment metadata
-  (:class:`repro.sim.shm.SharedOperands`);
+- the **oracle tier** calls :meth:`runner`, a picklable callable that
+  :func:`repro.sim.sweep.sweep_points` can hand to its process pool. The
+  dense factor operands are synthesized deterministically from shapes
+  wherever the runner runs (timing ignores values under
+  ``compute_output=False``), so only the sparse structure rides to
+  workers;
 - the **artifact layer** keys oracle memoization on
   :meth:`fingerprint`, a content digest of the operand and kernel
   parameters, so cached cycle counts never alias across workloads.
@@ -21,7 +20,6 @@ tier of the tuner can consume:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from repro.formats.csr import CSRMatrix
 from repro.sim.config import TensaurusConfig
 from repro.sim.perfmodel import FastModel
 from repro.sim.report import SimReport
-from repro.sim.shm import SharedOperands
 from repro.tensor import SparseTensor
 from repro.util.errors import ConfigError, KernelError
 from repro.util.rng import make_rng
@@ -136,55 +133,31 @@ class TuneWorkload:
         )
 
     # ------------------------------------------------------------------
-    def _payload(self, shared: Optional[SharedOperands]) -> dict:
-        """Serializable operand description for :class:`WorkloadRunner`."""
+    def runner(self) -> "WorkloadRunner":
+        """A picklable oracle runner carrying the operand arrays inline."""
         op = self.operand
-        common = dict(
+        payload = dict(
             kernel=self.kernel, rank=self.rank, rank2=self.rank2,
             mode=self.mode, msu_mode=self.msu_mode,
         )
         if isinstance(op, SparseTensor):
             arrays = {"coords": op.coords, "values": op.values}
-            common.update(kind="tensor", shape=tuple(op.shape))
+            payload.update(kind="tensor", shape=tuple(op.shape))
         else:
             coo = op.to_coo() if isinstance(op, CSRMatrix) else op
             arrays = {"rows": coo.rows, "cols": coo.cols, "vals": coo.vals}
-            common.update(kind="matrix", shape=tuple(coo.shape))
-        if shared is None:
-            common["arrays"] = {k: np.asarray(v) for k, v in arrays.items()}
-        else:
-            common["arrays"] = shared
-        return common
-
-    def shared(self) -> Tuple[SharedOperands, "WorkloadRunner"]:
-        """A zero-copy oracle runner: operand arrays live in one POSIX
-        shared-memory segment; the runner pickles as metadata only.
-
-        The caller owns the segment — use the :class:`SharedOperands` as a
-        context manager (or call ``close``/``unlink``) once the sweep that
-        consumed the runner has finished.
-        """
-        op = self.operand
-        if isinstance(op, SparseTensor):
-            arrays = {"coords": op.coords, "values": op.values}
-        else:
-            coo = op.to_coo() if isinstance(op, CSRMatrix) else op
-            arrays = {"rows": coo.rows, "cols": coo.cols, "vals": coo.vals}
-        shm = SharedOperands.create(arrays)
-        return shm, WorkloadRunner(self._payload(shm))
-
-    def runner(self) -> "WorkloadRunner":
-        """A picklable oracle runner carrying the operand arrays inline."""
-        return WorkloadRunner(self._payload(None))
+            payload.update(kind="matrix", shape=tuple(coo.shape))
+        payload["arrays"] = {k: np.asarray(v) for k, v in arrays.items()}
+        return WorkloadRunner(payload)
 
 
 class WorkloadRunner:
     """Module-level picklable runner for ``sweep_configs``/``sweep_points``.
 
-    Reconstructs the sparse operand (from inline arrays or a shared-memory
-    mapping), synthesizes the dense factors from shapes with a fixed seed,
-    and runs the kernel on the accelerator it is handed with
-    ``compute_output=False`` (timing only — values never matter).
+    Reconstructs the sparse operand from its arrays, synthesizes the dense
+    factors from shapes with a fixed seed, and runs the kernel on the
+    accelerator it is handed with ``compute_output=False`` (timing only —
+    values never matter).
     """
 
     def __init__(self, payload: dict) -> None:
@@ -198,9 +171,7 @@ class WorkloadRunner:
         if self._operand is None:
             if self._p["kind"] == "tensor":
                 # Coordinates are canonical by construction (they came out
-                # of a SparseTensor), so skip re-validation; the arrays may
-                # be read-only shared-memory views, which the constructors
-                # never mutate.
+                # of a SparseTensor), so skip re-validation.
                 self._operand = SparseTensor(
                     self._p["shape"], self._get("coords"),
                     self._get("values"), canonical=True,
@@ -244,7 +215,7 @@ class WorkloadRunner:
 
     def __getstate__(self) -> dict:
         # The lazily-built operand never rides the pickle stream; workers
-        # rebuild it from the (possibly shared-memory) arrays.
+        # rebuild it from the arrays.
         return {"_p": self._p}
 
     def __setstate__(self, state: dict) -> None:
@@ -252,11 +223,7 @@ class WorkloadRunner:
         self._operand = None
 
     def __repr__(self) -> str:
-        via = (
-            "shm" if isinstance(self._p["arrays"], SharedOperands)
-            else "inline"
-        )
-        return f"WorkloadRunner({self._p['kernel']}, {via})"
+        return f"WorkloadRunner({self._p['kernel']})"
 
 
 def workload_from_dataset(

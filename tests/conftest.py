@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -48,6 +49,22 @@ def digest(*parts) -> str:
             h.update(repr(part).encode())
         h.update(b"|")
     return h.hexdigest()
+
+
+@pytest.fixture
+def forced_pool():
+    """``with forced_pool():`` makes every sweep inside the block fan out
+    over two pool workers, whatever its point count or the CPUs this
+    process may use, so pooled paths run the same on any machine."""
+    import repro.sim.sweep as sweep_mod
+
+    @contextlib.contextmanager
+    def force():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep_mod, "_pool_size", lambda points: 2)
+            yield
+
+    return force
 
 
 @pytest.fixture

@@ -185,23 +185,22 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_configs(TensaurusConfig(), {"warp_size": [32]}, lambda acc: None)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, forced_pool):
         grid = {"rows": [4, 8], "spm_banks": [4, 8]}
         serial = sweep_configs(TensaurusConfig(), grid, _parallel_sweep_runner)
-        par = sweep_configs(
-            TensaurusConfig(), grid, _parallel_sweep_runner, workers=2
-        )
+        with forced_pool():
+            par = sweep_configs(TensaurusConfig(), grid, _parallel_sweep_runner)
         assert [p.params for p in par] == [p.params for p in serial]
         assert [p.report.cycles for p in par] == [p.report.cycles for p in serial]
 
-    def test_unpicklable_runner_falls_back_serial(self, caplog):
+    def test_unpicklable_runner_falls_back_serial(self, caplog, forced_pool):
         captured = []
-        with caplog.at_level("WARNING", logger="repro.sim.sweep"):
+        with caplog.at_level("WARNING", logger="repro.sim.sweep"), \
+                forced_pool():
             points = sweep_configs(
                 TensaurusConfig(),
                 {"rows": [4, 8]},
                 lambda acc: captured.append(acc) or _parallel_sweep_runner(acc),
-                workers=2,
             )
         assert any("not picklable" in r.getMessage() for r in caplog.records)
         assert len(points) == 2

@@ -2,6 +2,7 @@
 retry policies, factor checkpoints, the device watchdog / RESET-retry path,
 CP-ALS / Tucker resume-after-fault, and sweep robustness."""
 
+import re
 import time
 
 import numpy as np
@@ -339,11 +340,14 @@ class TestSweepRobustness:
         assert len(result) == 2
         assert result.failures == [] and result.fallback_reason is None
 
-    def test_unpicklable_runner_warns_and_records_reason(self, caplog):
+    def test_unpicklable_runner_warns_and_records_reason(
+        self, caplog, forced_pool
+    ):
         captured = []
         runner = lambda acc: captured.append(1) or _sweep_runner(acc)  # noqa: E731
-        with caplog.at_level("WARNING", logger="repro.sim.sweep"):
-            result = sweep_configs(BASE, GRID, runner, workers=2)
+        with caplog.at_level("WARNING", logger="repro.sim.sweep"), \
+                forced_pool():
+            result = sweep_configs(BASE, GRID, runner)
         assert any("not picklable" in r.getMessage() for r in caplog.records)
         assert result.fallback_reason is not None
         assert len(result) == 2 and len(captured) == 2
@@ -381,13 +385,38 @@ class TestSweepRobustness:
         assert len(result.failures) == 1
         assert "timeout" in result.failures[0].reason
 
+    def test_timeout_rule_same_serial_and_pooled(self, forced_pool):
+        # Each point is timed where it runs and never interrupted: both
+        # paths let the 0.05 s points finish, then report them timed out.
+        def failures():
+            result = sweep_configs(
+                BASE, GRID, _slow_runner, timeout_s=0.01, allow_partial=True
+            )
+            assert len(result) == 0
+            out = []
+            for f in result.failures:
+                took = re.fullmatch(
+                    r"timeout after 0\.01s \((\d+\.\d+)s\)", f.reason
+                )
+                assert took and float(took.group(1)) >= 0.05, f.reason
+                out.append((f.params, f.config, f.attempts))
+            return out
+
+        serial = failures()
+        with forced_pool():
+            pooled = failures()
+        assert serial == pooled == [
+            ({"rows": 4}, BASE.scaled(rows=4), 1),
+            ({"rows": 8}, BASE.scaled(rows=8), 1),
+        ]
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             sweep_configs(BASE, GRID, _sweep_runner, max_retries=-1)
         with pytest.raises(ConfigError):
             sweep_configs(BASE, GRID, _sweep_runner, timeout_s=0.0)
 
-    def test_worker_count_does_not_change_fault_draws(self):
+    def test_worker_count_does_not_change_fault_draws(self, forced_pool):
         base = TensaurusConfig(
             fault_plan=FaultPlan(
                 seed=13, spm_bitflip_rate=0.1, hbm_stall_rate=0.1
@@ -395,7 +424,8 @@ class TestSweepRobustness:
         )
         grid = {"rows": [4, 8], "spm_banks": [4, 8]}
         serial = sweep_configs(base, grid, _sweep_runner)
-        parallel = sweep_configs(base, grid, _sweep_runner, workers=2)
+        with forced_pool():
+            parallel = sweep_configs(base, grid, _sweep_runner)
 
         def key(points):
             return [

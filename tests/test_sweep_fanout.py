@@ -1,12 +1,11 @@
-"""Zero-copy sweep fan-out: one runner pickle per worker, not per point.
+"""Sweep fan-out: one runner pickle per worker, not per point, and a pool
+only when the sweep is large enough to pay for one.
 
 ``sweep_configs`` used to re-pickle the runner — and any operand tensors
 it closed over — into every design-point submission. It now ships the
-runner once through the pool initializer, and
-:class:`repro.sim.shm.SharedOperands` moves the operand bytes out of the
-pickle stream entirely (workers attach to the parent's shared-memory
-segment). These tests pin both properties by counting serialized payload
-bytes with a stub executor, plus the once-per-runner dedupe of the
+runner once through the pool initializer. These tests pin that by
+counting serialized payload bytes with a stub executor, plus the
+sweep's own choice of pool size and the once-per-runner dedupe of the
 unpicklable-runner warning.
 """
 
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.sim.sweep as sweep_mod
-from repro.sim import SharedOperands, sweep_configs
+from repro.sim import sweep_configs, sweep_points
 from repro.sim.config import TensaurusConfig
 from repro.sim.sweep import _evaluate_point_pooled, _init_pool_worker
 from repro.util.errors import ConfigError
@@ -56,9 +55,6 @@ class _StubFuture:
     def result(self, timeout=None):
         return self._value
 
-    def cancel(self):
-        pass
-
 
 class _StubExecutor:
     """In-process ProcessPoolExecutor double that records what a real pool
@@ -96,92 +92,67 @@ def stub_pool(monkeypatch):
 
 
 class TestRunnerShippedOnce:
-    def test_initializer_carries_runner_blob(self, stub_pool):
+    def test_initializer_carries_runner_blob(self, stub_pool, forced_pool):
         runner = _HeavyRunner()
-        result = sweep_configs(BASE, GRID, runner, workers=2)
+        with forced_pool():
+            result = sweep_configs(BASE, GRID, runner)
         assert len(result) == 4 and result.fallback_reason is None
         (pool,) = stub_pool.instances
         assert pool.initializer is _init_pool_worker
         assert pool.initargs == (pickle.dumps(runner),)
 
-    def test_per_point_payload_excludes_operands(self, stub_pool):
+    def test_per_point_payload_excludes_operands(self, stub_pool, forced_pool):
         runner = _HeavyRunner()
         runner_bytes = len(pickle.dumps(runner))
         assert runner_bytes > _BLOB.nbytes  # the closure really is heavy
-        sweep_configs(BASE, GRID, runner, workers=2)
+        with forced_pool():
+            sweep_configs(BASE, GRID, runner)
         (pool,) = stub_pool.instances
         assert len(pool.submit_payloads) == 4
         for payload in pool.submit_payloads:
-            # Submissions carry (config, max_retries) only — orders of
-            # magnitude under the operand blob.
+            # Submissions carry (config, max_retries, timeout_s) only —
+            # orders of magnitude under the operand blob.
             assert payload < runner_bytes / 100
 
     def test_pooled_worker_requires_initializer(self):
         sweep_mod._pool_runner = None
         with pytest.raises(AssertionError):
-            _evaluate_point_pooled(BASE, 0)
+            _evaluate_point_pooled(BASE, 0, None)
 
-    def test_real_pool_matches_serial(self):
+    def test_real_pool_matches_serial(self, forced_pool):
         serial = sweep_configs(BASE, {"rows": [4, 8]}, _small_runner)
-        parallel = sweep_configs(
-            BASE, {"rows": [4, 8]}, _small_runner, workers=2
-        )
+        with forced_pool():
+            parallel = sweep_configs(BASE, {"rows": [4, 8]}, _small_runner)
         assert [(p.params, p.report.cycles) for p in serial] == [
             (p.params, p.report.cycles) for p in parallel
         ]
 
 
-class TestSharedOperands:
-    def test_pickle_is_metadata_only(self):
-        with SharedOperands.create({"vals": _BLOB, "idx": np.arange(7)}) as ops:
-            blob = pickle.dumps(ops)
-            assert len(blob) < 512  # 2 MB of operands, metadata-size pickle
-            clone = pickle.loads(blob)
-            try:
-                assert set(clone) == {"vals", "idx"}
-                assert clone["vals"].tobytes() == _BLOB.tobytes()
-                assert not clone["vals"].flags.writeable
-            finally:
-                clone.close()
+class TestPoolSize:
+    def test_pool_follows_point_count_and_usable_cpus(
+        self, stub_pool, monkeypatch
+    ):
+        per_worker = sweep_mod._POINTS_PER_WORKER
 
-    def test_attached_copy_sees_parent_writes_without_copy(self):
-        arr = np.zeros(16)
-        with SharedOperands.create({"a": arr}) as ops:
-            clone = pickle.loads(pickle.dumps(ops))
-            try:
-                assert clone["a"][3] == 0.0
-                # Same physical pages: a write through the creator's
-                # segment is visible in the attached mapping.
-                base = np.ndarray((16,), dtype=np.float64,
-                                  buffer=ops._attach().buf)
-                base[3] = 9.5
-                assert clone["a"][3] == 9.5
-            finally:
-                clone.close()
+        def pools(points, cpus):
+            monkeypatch.setattr(
+                sweep_mod.os, "sched_getaffinity",
+                lambda pid: set(range(cpus)),
+            )
+            stub_pool.instances = []
+            result = sweep_points(BASE, [{"rows": 4}] * points, _small_runner)
+            assert len(result) == points
+            return [pool.max_workers for pool in stub_pool.instances]
 
-    def test_runner_over_shared_operands_is_light(self):
-        with SharedOperands.create({"vals": _BLOB}) as ops:
-            runner = _SharedRunner(ops)
-            assert len(pickle.dumps(runner)) < 1024
-
-    def test_missing_key_and_empty_create(self):
-        with pytest.raises(ConfigError):
-            SharedOperands.create({})
-        with SharedOperands.create({"a": np.ones(3)}) as ops:
-            with pytest.raises(KeyError):
-                ops["missing"]
-
-    def test_object_dtype_rejected(self):
-        with pytest.raises(ConfigError):
-            SharedOperands.create({"bad": np.array([object()])})
-
-
-class _SharedRunner:
-    def __init__(self, ops):
-        self.ops = ops
-
-    def __call__(self, acc):
-        return _small_runner(acc)
+        # Fewer than two workers' worth of points: no executor at all.
+        assert pools(per_worker, cpus=2) == []
+        assert pools(2 * per_worker - 1, cpus=2) == []
+        # From two workers' worth on, one pool, capped by the usable CPUs.
+        assert pools(2 * per_worker, cpus=2) == [2]
+        assert pools(4 * per_worker, cpus=2) == [2]
+        assert pools(3 * per_worker, cpus=4) == [3]
+        # A process confined to one CPU never pools.
+        assert pools(16 * per_worker, cpus=1) == []
 
 
 class TestWarningDedupe:
@@ -189,11 +160,12 @@ class TestWarningDedupe:
         captured = []
         return lambda acc: captured.append(1) or _small_runner(acc)
 
-    def test_warning_once_per_runner(self, caplog):
+    def test_warning_once_per_runner(self, caplog, forced_pool):
         runner = self._unpicklable()
-        with caplog.at_level("WARNING", logger="repro.sim.sweep"):
-            first = sweep_configs(BASE, {"rows": [4, 8]}, runner, workers=2)
-            second = sweep_configs(BASE, {"rows": [4, 8]}, runner, workers=2)
+        with caplog.at_level("WARNING", logger="repro.sim.sweep"), \
+                forced_pool():
+            first = sweep_configs(BASE, {"rows": [4, 8]}, runner)
+            second = sweep_configs(BASE, {"rows": [4, 8]}, runner)
         warnings = [
             r for r in caplog.records if "not picklable" in r.getMessage()
         ]
@@ -202,10 +174,11 @@ class TestWarningDedupe:
         assert first.fallback_reason and second.fallback_reason
         assert len(first) == len(second) == 2
 
-    def test_distinct_runners_each_warn(self, caplog):
-        with caplog.at_level("WARNING", logger="repro.sim.sweep"):
-            sweep_configs(BASE, {"rows": [4, 8]}, self._unpicklable(), workers=2)
-            sweep_configs(BASE, {"rows": [4, 8]}, self._unpicklable(), workers=2)
+    def test_distinct_runners_each_warn(self, caplog, forced_pool):
+        with caplog.at_level("WARNING", logger="repro.sim.sweep"), \
+                forced_pool():
+            sweep_configs(BASE, {"rows": [4, 8]}, self._unpicklable())
+            sweep_configs(BASE, {"rows": [4, 8]}, self._unpicklable())
         warnings = [
             r for r in caplog.records if "not picklable" in r.getMessage()
         ]
@@ -301,12 +274,11 @@ class TestSweepPoints:
         with pytest.raises(ConfigError, match="rowz"):
             sweep_points(BASE, [{"rowz": 8}], _small_runner)
 
-    def test_parallel_matches_serial(self):
-        from repro.sim import sweep_points
-
+    def test_parallel_matches_serial(self, forced_pool):
         pts = [{"rows": 4}, {"rows": 8}]
         serial = sweep_points(BASE, pts, _small_runner)
-        parallel = sweep_points(BASE, pts, _small_runner, workers=2)
+        with forced_pool():
+            parallel = sweep_points(BASE, pts, _small_runner)
         assert [p.report.cycles for p in serial] == [
             p.report.cycles for p in parallel
         ]

@@ -71,20 +71,6 @@ class TestWorkload:
         clone = pickle.loads(pickle.dumps(runner))
         assert clone(Tensaurus()).cycles == runner(Tensaurus()).cycles
 
-    def test_shared_runner_pickles_as_metadata(self):
-        wl = _workload()
-        shm, runner = wl.shared()
-        try:
-            blob = pickle.dumps(runner)
-            # Operand arrays stay in the segment, not the pickle stream.
-            assert len(blob) < 2_000
-            assert pickle.loads(blob)(Tensaurus()).cycles == (
-                wl.runner()(Tensaurus()).cycles
-            )
-        finally:
-            shm.close()
-            shm.unlink()
-
     def test_stats(self):
         stats = _workload().stats()
         assert stats["kernel"] == "mttkrp"
@@ -142,12 +128,26 @@ class TestSearch:
         assert warm.best_params == cold.best_params
         assert warm.best_cycles == cold.best_cycles
 
-    def test_parallel_workers_same_trajectory(self, tmp_path):
+    def test_parallel_workers_same_trajectory(self, tmp_path, forced_pool):
         serial = self._tuner(ArtifactStore(tmp_path / "a")).search()
-        parallel = self._tuner(
-            ArtifactStore(tmp_path / "b"), workers=2
-        ).search()
+        with forced_pool():
+            parallel = self._tuner(ArtifactStore(tmp_path / "b")).search()
         assert parallel.trajectory_digest() == serial.trajectory_digest()
+
+    def test_measure_hashes_workload_once_per_batch(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        digest = TuneWorkload.fingerprint
+        monkeypatch.setattr(
+            TuneWorkload, "fingerprint",
+            lambda wl: calls.append(wl) or digest(wl),
+        )
+        tuner = self._tuner(ArtifactStore(tmp_path))
+        points = quick_space().points()[:4]
+        batch = tuner._measure(points, tuner.workload.runner())
+        assert [m.source for m in batch] == ["sim"] * 4
+        assert len(calls) == 1
 
     def test_no_store_still_works(self):
         out = self._tuner(store=None).search()
