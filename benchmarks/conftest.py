@@ -17,9 +17,6 @@ of re-simulating. Harness options:
     ``benchmarks/.artifacts``).
 ``--no-artifact-cache``
     Disable the store: regenerate everything from scratch.
-``--regen-workers N``
-    Fan the figure modules over ``N`` pytest subprocesses sharing one
-    artifact directory (safe: writes are atomic renames).
 ``--trace-out PATH`` / ``--metrics-out PATH``
     Activate the :mod:`repro.obs` instrumentation for the whole session and
     write the Chrome trace / metrics-snapshot JSON sidecar at session end.
@@ -32,8 +29,6 @@ pytest-benchmark timings use single-round pedantic mode since each
 from __future__ import annotations
 
 import functools
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -66,10 +61,6 @@ TTMC_RANKS = (32, 32)
 SPMM_CNN_COLS = 256
 SPMM_GRAPH_COLS = 128
 
-#: Environment guard marking a ``--regen-workers`` child process, so the
-#: fan-out hook never recurses.
-_CHILD_ENV = "REPRO_REGEN_CHILD"
-
 #: The session's artifact store. Module-level because the dataset helpers
 #: below are plain functions (imported by figure modules), not fixtures.
 _STORE = ArtifactStore()
@@ -84,10 +75,6 @@ def pytest_addoption(parser):
     group.addoption(
         "--no-artifact-cache", action="store_true", default=False,
         help="disable the on-disk artifact cache for this run",
-    )
-    group.addoption(
-        "--regen-workers", type=int, default=0,
-        help="fan benchmark modules over N pytest worker subprocesses",
     )
     group.addoption(
         "--trace-out", default=None,
@@ -126,58 +113,8 @@ def pytest_configure(config):
         obs.set_registry(obs.MetricsRegistry())
 
 
-def pytest_cmdline_main(config):
-    """``--regen-workers N``: run each benchmark module in its own pytest
-    subprocess (N at a time) against the shared artifact store."""
-    try:
-        workers = config.getoption("--regen-workers")
-    except ValueError:
-        return None
-    if not workers or workers <= 1 or os.environ.get(_CHILD_ENV):
-        return None
-
-    modules = sorted(Path(__file__).parent.glob("test_*.py"))
-    passthrough = []
-    artifact_dir = config.getoption("--artifact-dir")
-    if artifact_dir:
-        passthrough.append(f"--artifact-dir={artifact_dir}")
-    if config.getoption("--no-artifact-cache"):
-        passthrough.append("--no-artifact-cache")
-
-    import tempfile
-
-    env = dict(os.environ, **{_CHILD_ENV: "1"})
-    failures = []
-    pending = list(modules)
-    running = []
-    while pending or running:
-        while pending and len(running) < workers:
-            module = pending.pop(0)
-            log = tempfile.TemporaryFile(mode="w+")
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "pytest", str(module), "-q", "-p",
-                 "no:cacheprovider", *passthrough],
-                env=env,
-                stdout=log,
-                stderr=subprocess.STDOUT,
-            )
-            running.append((module, proc, log))
-        module, proc, log = running.pop(0)
-        proc.wait()
-        status = "ok" if proc.returncode == 0 else f"FAILED ({proc.returncode})"
-        print(f"[regen] {module.name}: {status}")
-        if proc.returncode != 0:
-            failures.append(module.name)
-            log.seek(0)
-            print(log.read())
-        log.close()
-    print(f"[regen] {len(modules) - len(failures)}/{len(modules)} modules ok")
-    return 1 if failures else 0
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not os.environ.get(_CHILD_ENV):
-        terminalreporter.write_line(_STORE.report_line())
+    terminalreporter.write_line(_STORE.report_line())
     trace_out, metrics_out, openmetrics_out = _OBS_OUT
     if trace_out:
         obs.tracer().export_chrome(trace_out)

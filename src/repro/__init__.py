@@ -29,8 +29,8 @@ Quick start::
     print(report.summary())
 """
 
-from repro import analysis, apps, baselines, datasets, energy, factorization
-from repro import formats, io, kernels, obs, resilience, sim, tensor, tune, util
+from repro import analysis, baselines, datasets, energy, factorization
+from repro import formats, kernels, obs, resilience, sim, tensor, tune, util
 from repro.formats import CISSMatrix, CISSTensor
 from repro.resilience import CheckpointStore, RetryPolicy
 from repro.sim import FastModel, FaultPlan, Tensaurus, TensaurusConfig
@@ -40,13 +40,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "analysis",
-    "apps",
     "baselines",
     "datasets",
     "energy",
     "factorization",
     "formats",
-    "io",
     "kernels",
     "obs",
     "resilience",

@@ -7,7 +7,7 @@ from repro.analysis.tables import (
     speedup_table,
     SpeedupRow,
 )
-from repro.analysis.charts import ascii_bars, ascii_roofline
+from repro.analysis.charts import ascii_roofline
 
 __all__ = [
     "RooflinePoint",
@@ -17,6 +17,5 @@ __all__ = [
     "format_table",
     "speedup_table",
     "SpeedupRow",
-    "ascii_bars",
     "ascii_roofline",
 ]

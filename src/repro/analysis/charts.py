@@ -1,14 +1,14 @@
 """Plain-text charts for terminal-friendly result inspection.
 
-The benchmark harness records tables; these helpers additionally render the
-Fig. 7-style roofline as an ASCII log-log scatter and simple horizontal bar
-charts for the speedup figures — no plotting dependencies required.
+The benchmark harness records tables; this helper additionally renders the
+Fig. 7-style roofline as an ASCII log-log scatter — no plotting
+dependencies required.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.roofline import RooflinePoint
 from repro.util.errors import ConfigError
@@ -84,21 +84,3 @@ def ascii_roofline(
     lines.extend(legend)
     return "\n".join(lines)
 
-
-def ascii_bars(
-    values: Dict[str, float],
-    width: int = 50,
-    unit: str = "x",
-) -> str:
-    """Horizontal bar chart (linear scale), e.g. for speedup comparisons."""
-    if not values:
-        return "(no data)"
-    peak = max(values.values())
-    if peak <= 0:
-        raise ConfigError("bar values must include a positive maximum")
-    label_w = max(len(k) for k in values)
-    lines = []
-    for name, val in values.items():
-        bar = "#" * max(1, int(round(width * val / peak))) if val > 0 else ""
-        lines.append(f"{name:>{label_w}} | {bar} {val:.2f}{unit}")
-    return "\n".join(lines)

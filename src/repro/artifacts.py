@@ -89,7 +89,7 @@ def _feed(h: "hashlib._Hash", part: Any) -> None:
         _feed(h, tuple(part.shape))
         h.update(fingerprint_arrays(part.rows, part.cols, part.vals))
     elif hasattr(part, "indptr") and hasattr(part, "indices"):
-        # CSRMatrix / CSCMatrix
+        # CSRMatrix
         h.update(b"\x00c" + type(part).__name__.encode())
         _feed(h, tuple(part.shape))
         h.update(fingerprint_arrays(part.indptr, part.indices, part.data))
@@ -114,7 +114,7 @@ class ArtifactStore:
 
     ``get`` either loads ``<root>/<namespace>/<digest>.pkl`` or calls the
     builder and persists its result (atomic rename, so concurrent
-    ``--regen-workers`` processes never observe torn files). A disabled
+    processes sharing one store never observe torn files). A disabled
     store (``enabled=False``) counts misses but touches no disk — the
     escape hatch for ``--no-artifact-cache`` runs.
     """
@@ -328,9 +328,9 @@ class ArtifactStore:
     def list_namespace(self, namespace: str) -> list:
         """Paths of every artifact stored under ``namespace`` (sorted).
 
-        Registries layered on the store (the tuned-config registry, the
-        CLI's ``artifacts info``) use this to enumerate what exists
-        without knowing the original key parts.
+        Registries layered on the store (the tuned-config registry) use
+        this to enumerate what exists without knowing the original key
+        parts.
         """
         ns = self.root / namespace
         if not ns.is_dir():
@@ -355,15 +355,6 @@ class ArtifactStore:
                 path.unlink(missing_ok=True)
                 removed += 1
         return removed
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "read_errors": self.read_errors,
-        }
 
     def report_line(self) -> str:
         """One-line summary for session logs / CI output."""

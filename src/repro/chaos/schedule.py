@@ -17,7 +17,7 @@ bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.faults import (
     HBM_OUTAGE,
@@ -144,13 +144,11 @@ class ChaosSchedule:
         return replace(self, events=tuple(events))
 
     # ------------------------------------------------------------------
-    def fault_plan(self, base: Optional[FaultPlan] = None) -> FaultPlan:
+    def fault_plan(self) -> FaultPlan:
         """Compile the events onto a :class:`FaultPlan`.
 
         Shard kills become ``forced_shard_kills`` (first kill per target
-        wins); each rate kind's magnitudes hazard-combine. A ``base``
-        plan, when given, is merged underneath via
-        :meth:`FaultPlan.merge`.
+        wins); each rate kind's magnitudes hazard-combine.
         """
         kills: Dict[int, float] = {}
         rates: Dict[str, List[float]] = {}
@@ -161,7 +159,7 @@ class ChaosSchedule:
                     kills[target] = ev.at
             else:
                 rates.setdefault(ev.kind, []).append(ev.magnitude)
-        plan = FaultPlan(
+        return FaultPlan(
             seed=self.seed,
             hbm_outage_rate=_hazard(rates.get(HBM_OUTAGE, ())),
             hbm_stall_rate=_hazard(rates.get(HBM_STALL, ())),
@@ -172,9 +170,6 @@ class ChaosSchedule:
             ),
             forced_shard_kills=tuple(sorted(kills.items())),
         )
-        if base is not None:
-            plan = base.merge(plan)
-        return plan
 
     # ------------------------------------------------------------------
     def to_json(self) -> Dict[str, object]:

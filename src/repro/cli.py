@@ -12,20 +12,11 @@ Commands
     Run a kernel across datasets and draw the ASCII roofline.
 ``info``
     Print the accelerator design point and derived peaks.
-``artifacts``
-    Inspect or clear the on-disk artifact cache used by the benchmark
-    harness (``repro.artifacts``).
-``regen``
-    Regenerate the ``benchmarks/`` figure data, optionally fanning the
-    figure modules over worker processes and reusing cached artifacts.
 ``trace``
     Run one kernel (or a short CP-ALS) with tracing enabled and export a
     Chrome ``trace_event`` JSON (``chrome://tracing`` / Perfetto) plus a
     text flamegraph summary. ``--check`` validates the trace schema and
     asserts the instrumented run is bit-identical to an uninstrumented one.
-``metrics``
-    Same workloads with the metrics registry enabled; prints the counter /
-    histogram table and optionally writes the snapshot JSON.
 ``serve-replay``
     Replay a deterministic synthetic request trace through the
     overload-safe serving layer (``repro.serving``) and print the
@@ -37,6 +28,16 @@ Commands
     (``repro.serving.fleet``): cache-affinity consistent-hash routing,
     per-tenant quotas, health-driven autoscaling; ``--kill SID@FRAC``
     kills a shard mid-trace and exercises cross-shard failover.
+``obs``
+    Fleet telemetry: ``slo`` evaluates SLO burn-rate alerts over a fleet
+    replay, ``sentinel`` compares ``BENCH_*.json`` headlines against a
+    baseline directory.
+``tune``
+    Search the config space for a per-workload tuned design.
+``chaos``
+    Fault-space verification: ``search`` runs randomized fault schedules
+    and shrinks every failure it finds, ``replay`` re-runs a regression
+    corpus.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ import argparse
 import json
 import sys
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from repro import datasets
 from repro.analysis import RooflinePoint, ascii_roofline, format_table
@@ -82,63 +81,21 @@ def _build_parser() -> argparse.ArgumentParser:
     roof.add_argument("kernel", choices=TENSOR_KERNELS)
     roof.add_argument("--rank", type=int, default=32)
 
-    conv = sub.add_parser(
-        "convert", help="convert a .tns/.mtx file between storage formats"
-    )
-    conv.add_argument("path", help="input .tns (tensor) or .mtx (matrix) file")
-    conv.add_argument("format", help="target format (see repro.formats)")
-    conv.add_argument("--lanes", type=int, default=8)
-    conv.add_argument("--block", type=int, default=128)
-
-    art = sub.add_parser("artifacts", help="inspect/clear the artifact cache")
-    art.add_argument("action", choices=("info", "clear"))
-    art.add_argument(
-        "--dir", default=None,
-        help="cache directory (default: $REPRO_ARTIFACTS_DIR or benchmarks/.artifacts)",
-    )
-
-    regen = sub.add_parser(
-        "regen", help="regenerate benchmarks/ figure data (memoized)"
-    )
-    regen.add_argument(
-        "--workers", type=int, default=1,
-        help="fan figure modules over N pytest worker processes",
-    )
-    regen.add_argument(
-        "--artifact-dir", default=None,
-        help="artifact cache directory to reuse across runs",
-    )
-    regen.add_argument(
-        "--no-artifact-cache", action="store_true",
-        help="regenerate everything from scratch (no memoization)",
-    )
-
-    obs_kernels = TENSOR_KERNELS + MATRIX_KERNELS + ("cp-als",)
-
-    def _obs_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("kernel", choices=obs_kernels)
-        p.add_argument("dataset", help="a registered dataset name")
-        p.add_argument("--mode", type=int, default=0, help="tensor target mode")
-        p.add_argument("--rank", type=int, default=32, help="F / F1=F2 / N")
-        p.add_argument("--iters", type=int, default=3, help="cp-als sweeps")
-
     trace = sub.add_parser(
         "trace", help="run a kernel with tracing on; export Chrome trace JSON"
     )
-    _obs_args(trace)
+    trace.add_argument(
+        "kernel", choices=TENSOR_KERNELS + MATRIX_KERNELS + ("cp-als",)
+    )
+    trace.add_argument("dataset", help="a registered dataset name")
+    trace.add_argument("--mode", type=int, default=0, help="tensor target mode")
+    trace.add_argument("--rank", type=int, default=32, help="F / F1=F2 / N")
+    trace.add_argument("--iters", type=int, default=3, help="cp-als sweeps")
     trace.add_argument("--out", default="trace.json", help="trace JSON path")
     trace.add_argument(
         "--check", action="store_true",
         help="validate the trace schema, reconcile phase cycles against the "
         "reports, and assert the run is bit-identical to an uninstrumented one",
-    )
-
-    metrics = sub.add_parser(
-        "metrics", help="run a kernel with the metrics registry on"
-    )
-    _obs_args(metrics)
-    metrics.add_argument(
-        "--out", default=None, help="also write the snapshot as JSON"
     )
 
     serve = sub.add_parser(
@@ -199,8 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     obs_p = sub.add_parser(
         "obs",
-        help="fleet telemetry: OpenMetrics export, SLO burn-rate "
-        "evaluation, benchmark regression sentinel",
+        help="fleet telemetry: SLO burn-rate evaluation, benchmark "
+        "regression sentinel",
     )
     obs_sub = obs_p.add_subparsers(dest="obs_command", required=True)
 
@@ -217,18 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kill", action="append", default=[],
                        metavar="SID@FRAC",
                        help="kill shard SID at FRAC of the arrival window")
-
-    oexp = obs_sub.add_parser(
-        "export",
-        help="replay a fleet trace and emit its metrics as OpenMetrics "
-        "text exposition (validated by the strict parser)",
-    )
-    _replay_args(oexp)
-    oexp.add_argument("--out", default=None,
-                      help="write the exposition here (default: stdout)")
-    oexp.add_argument("--snapshots", default=None, metavar="PATH",
-                      help="also append a JSON-lines registry snapshot "
-                      "sidecar")
 
     oslo = obs_sub.add_parser(
         "slo",
@@ -290,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         help="property-based fault-space verification: randomized "
-        "schedule search, counterexample shrinking, corpus replay",
+        "schedule search with counterexample shrinking, corpus replay",
     )
     chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
 
@@ -316,18 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="store shrunk reproducers in this corpus")
     csearch.add_argument("--out", default=None, metavar="PATH",
                          help="write the full search outcome as JSON")
-
-    cshrink = chaos_sub.add_parser(
-        "shrink",
-        help="delta-debug a failing schedule (JSON file) to a minimal "
-        "reproducer",
-    )
-    cshrink.add_argument("schedule", help="path to a ChaosSchedule JSON")
-    cshrink.add_argument("--mutate", default=None, metavar="NAME",
-                         help="arm a named fault injection while "
-                         "shrinking")
-    cshrink.add_argument("--out", default=None, metavar="PATH",
-                         help="write the minimal schedule as JSON")
 
     creplay = chaos_sub.add_parser(
         "replay",
@@ -472,69 +405,8 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    from repro.formats import convert_matrix, convert_tensor
-    from repro.io import read_mtx, read_tns
-
-    if args.path.endswith(".tns"):
-        tensor = read_tns(args.path)
-        encoded = convert_tensor(
-            tensor, args.format, num_lanes=args.lanes, block=args.block
-        )
-        print(f"loaded {tensor}")
-    elif args.path.endswith(".mtx"):
-        matrix = read_mtx(args.path)
-        encoded = convert_matrix(matrix, args.format, num_lanes=args.lanes)
-        print(f"loaded {matrix}")
-    else:
-        raise SystemExit("input must be a .tns or .mtx file")
-    print(f"encoded: {encoded!r}")
-    for attr in ("num_entries", "entry_bytes", "padding_fraction",
-                 "storage_bytes", "nnz"):
-        value = getattr(encoded, attr, None)
-        if callable(value):
-            value = value()
-        if value is not None:
-            print(f"  {attr}: {value}")
-    return 0
-
-
-def _cmd_artifacts(args: argparse.Namespace) -> int:
-    from repro.artifacts import ArtifactStore
-
-    store = ArtifactStore(root=args.dir)
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} artifacts from {store.root}")
-        return 0
-    print(
-        f"artifact cache at {store.root}: {store.entry_count()} entries, "
-        f"{store.total_bytes() / 1e6:.1f} MB"
-    )
-    if store.root.is_dir():
-        for ns_dir in sorted(p for p in store.root.iterdir() if p.is_dir()):
-            entries = list(ns_dir.glob("*.pkl"))
-            size = sum(p.stat().st_size for p in entries)
-            print(f"  {ns_dir.name}: {len(entries)} entries, {size / 1e6:.1f} MB")
-    return 0
-
-
-def _cmd_regen(args: argparse.Namespace) -> int:
-    import subprocess
-
-    cmd = [sys.executable, "-m", "pytest", "benchmarks/", "-q"]
-    if args.workers and args.workers > 1:
-        cmd.append(f"--regen-workers={args.workers}")
-    if args.artifact_dir:
-        cmd.append(f"--artifact-dir={args.artifact_dir}")
-    if args.no_artifact_cache:
-        cmd.append("--no-artifact-cache")
-    print("+ " + " ".join(cmd))
-    return subprocess.call(cmd)
-
-
 def _run_workload(args: argparse.Namespace):
-    """Execute the trace/metrics workload once; returns the SimReports.
+    """Execute the trace workload once; returns the SimReports.
 
     A fresh accelerator per call, so repeated runs (the ``--check``
     baseline) see identical encoding-cache behaviour.
@@ -601,21 +473,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"check OK: schema valid, bit-identical to uninstrumented run, "
             f"{phase_total} phase cycles == {len(reports)} reports' total"
         )
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro import obs
-
-    with obs.observe() as ob:
-        _run_workload(args)
-        rendered = ob.registry.render()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(ob.registry.to_json())
-    print(rendered)
-    if args.out:
-        print(f"\nwrote metrics snapshot to {args.out}")
     return 0
 
 
@@ -809,33 +666,6 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_export(args: argparse.Namespace) -> int:
-    from repro.obs.export import SnapshotWriter, roundtrip
-
-    result, _, ob = _fleet_replay(args, ("default",), observed=True)
-    text = roundtrip(ob.registry.snapshot())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(
-            f"wrote OpenMetrics exposition to {args.out} "
-            f"({len(text.splitlines())} lines, round-trip validated, "
-            f"{len(result.responses)} requests replayed)"
-        )
-    else:
-        sys.stdout.write(text)
-    if args.snapshots:
-        horizon = max(
-            (r.finish_s for r in result.responses if r.finish_s is not None),
-            default=0.0,
-        )
-        SnapshotWriter(args.snapshots).write(
-            ob.registry.snapshot(), t=horizon
-        )
-        print(f"appended snapshot sidecar to {args.snapshots}")
-    return 0
-
-
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
     from repro.obs.slo import SLOMonitor, default_objectives
 
@@ -881,8 +711,6 @@ def _cmd_obs_sentinel(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "export":
-        return _cmd_obs_export(args)
     if args.obs_command == "slo":
         return _cmd_obs_slo(args)
     if args.obs_command == "sentinel":
@@ -1013,29 +841,6 @@ def _cmd_chaos_search(args: argparse.Namespace) -> int:
     return 1 if outcome.failures else 0
 
 
-def _cmd_chaos_shrink(args: argparse.Namespace) -> int:
-    from repro.chaos import ChaosSchedule, shrink_schedule
-
-    with open(args.schedule) as fh:
-        schedule = ChaosSchedule.from_json(json.load(fh))
-    runner = _chaos_runner(args.mutate)
-    result = shrink_schedule(schedule, runner)
-    print(
-        f"shrunk {result.original.event_count} -> "
-        f"{result.minimal.event_count} events (ratio {result.ratio:.2f}) "
-        f"for {', '.join(result.target)} in {result.oracle_calls} "
-        "oracle calls"
-    )
-    for ev in result.minimal.events:
-        print(f"  {ev.kind} at={ev.at} target={ev.target} "
-              f"magnitude={ev.magnitude}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result.minimal.to_json(), fh, indent=1)
-        print(f"wrote minimal schedule to {args.out}")
-    return 0
-
-
 def _cmd_chaos_replay(args: argparse.Namespace) -> int:
     from repro.artifacts import ArtifactStore
     from repro.chaos import ChaosCorpus
@@ -1064,8 +869,6 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.chaos_command == "search":
         return _cmd_chaos_search(args)
-    if args.chaos_command == "shrink":
-        return _cmd_chaos_shrink(args)
     if args.chaos_command == "replay":
         return _cmd_chaos_replay(args)
     raise SystemExit(f"unknown chaos command {args.chaos_command!r}")
@@ -1081,16 +884,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "roofline":
         return _cmd_roofline(args)
-    if args.command == "convert":
-        return _cmd_convert(args)
-    if args.command == "artifacts":
-        return _cmd_artifacts(args)
-    if args.command == "regen":
-        return _cmd_regen(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
     if args.command == "serve-replay":
         return _cmd_serve_replay(args)
     if args.command == "fleet-replay":

@@ -12,7 +12,6 @@ from repro.energy.model import (
     TENSAURUS_TOTAL_POWER_W,
     TENSAURUS_TOTAL_AREA_MM2,
     accelerator_energy,
-    baseline_energy,
     scale_power_65_to_28,
     BaselinePower,
     CPU_POWER,
@@ -25,7 +24,6 @@ __all__ = [
     "TENSAURUS_TOTAL_POWER_W",
     "TENSAURUS_TOTAL_AREA_MM2",
     "accelerator_energy",
-    "baseline_energy",
     "scale_power_65_to_28",
     "BaselinePower",
     "CPU_POWER",

@@ -100,14 +100,3 @@ CAMBRICON_POWER = BaselinePower(
     dram_pj_per_byte=HBM_PJ_PER_BYTE,
 )
 
-
-def baseline_energy(name: str, time_s: float, bytes_moved: int = 0) -> float:
-    """Energy of a named baseline over ``time_s`` seconds."""
-    table = {
-        "cpu": CPU_POWER,
-        "gpu": GPU_POWER,
-        "cambricon-x": CAMBRICON_POWER,
-    }
-    if name not in table:
-        raise KeyError(f"unknown baseline {name!r}")
-    return table[name].energy(time_s, bytes_moved)

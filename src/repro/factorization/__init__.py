@@ -15,14 +15,6 @@ from repro.factorization.accelerated import (
     accelerated_cp_als,
     accelerated_tucker_hooi,
 )
-from repro.factorization.nonneg import accelerated_cp_nonneg, cp_nonneg
-from repro.factorization.metrics import (
-    congruence,
-    cp_factor_match,
-    factor_match_score,
-    fit_score,
-    normalize_factors,
-)
 
 __all__ = [
     "CPDecomposition",
@@ -33,11 +25,4 @@ __all__ = [
     "AcceleratedRun",
     "accelerated_cp_als",
     "accelerated_tucker_hooi",
-    "congruence",
-    "cp_factor_match",
-    "factor_match_score",
-    "fit_score",
-    "normalize_factors",
-    "cp_nonneg",
-    "accelerated_cp_nonneg",
 ]

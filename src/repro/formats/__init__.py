@@ -2,14 +2,12 @@
 
 This package implements every storage format the paper discusses:
 
-- :class:`COOMatrix`, :class:`CSRMatrix`, :class:`CSCMatrix` — conventional
-  matrix formats (Section 4, Related Work).
+- :class:`COOMatrix`, :class:`CSRMatrix` — conventional matrix formats
+  (Section 4, Related Work).
 - :class:`ExtendedCSRTensor` — the paper's extended-CSR layout for 3-d
   tensors (Fig. 3b), the strawman CISS is compared against.
 - :class:`CSFTensor` — SPLATT's compressed sparse fiber tree, used by the
   CPU baseline.
-- :class:`CISRMatrix` — Fowers et al.'s compressed interleaved sparse row,
-  the matrix-only prior work CISS generalizes.
 - :class:`CISSMatrix` / :class:`CISSTensor` — the paper's contribution:
   compressed interleaved sparse slice, for matrices and 3-d tensors.
 
@@ -19,10 +17,9 @@ testable uniformly.
 """
 
 from repro.formats.coo import COOMatrix
-from repro.formats.csr import CSRMatrix, CSCMatrix
+from repro.formats.csr import CSRMatrix
 from repro.formats.extended_csr import ExtendedCSRTensor
 from repro.formats.csf import CSFTensor
-from repro.formats.cisr import CISRMatrix
 from repro.formats.ciss import (
     CISSMatrix,
     CISSTensor,
@@ -32,29 +29,14 @@ from repro.formats.ciss import (
 )
 from repro.formats.ciss_nd import CISSTensorND
 from repro.formats.hicoo import HiCOOTensor
-from repro.formats.stats import FormatStats, format_stats
-from repro.formats.convert import (
-    convert_matrix,
-    convert_tensor,
-    matrix_to_coo,
-    tensor_to_coo,
-)
 
 __all__ = [
     "CISSTensorND",
     "HiCOOTensor",
-    "convert_matrix",
-    "convert_tensor",
-    "matrix_to_coo",
-    "tensor_to_coo",
-    "FormatStats",
-    "format_stats",
     "COOMatrix",
     "CSRMatrix",
-    "CSCMatrix",
     "ExtendedCSRTensor",
     "CSFTensor",
-    "CISRMatrix",
     "CISSMatrix",
     "CISSTensor",
     "KIND_HEADER",

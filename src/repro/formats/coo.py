@@ -76,7 +76,7 @@ class COOMatrix:
         return out
 
     def row_nnz_counts(self) -> np.ndarray:
-        """Nonzeros per row (the CISS/CISR schedulers balance these)."""
+        """Nonzeros per row (the CISS scheduler balances these)."""
         return np.bincount(self.rows, minlength=self.shape[0])
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""Compressed sparse row / column matrix formats.
+"""Compressed sparse row matrix format.
 
 Built from scratch (no scipy in the core path) so the reproduction controls
 exactly what is stored and how many bytes each format streams — the quantity
@@ -93,55 +93,3 @@ class CSRMatrix:
     def __repr__(self) -> str:
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
 
-
-class CSCMatrix:
-    """Compressed sparse column matrix (CSR of the transpose)."""
-
-    __slots__ = ("shape", "indptr", "indices", "data")
-
-    def __init__(
-        self,
-        shape: Tuple[int, int],
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data: np.ndarray,
-    ) -> None:
-        # Validate by constructing the transposed CSR view.
-        csr = CSRMatrix((shape[1], shape[0]), indptr, indices, data)
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.indptr = csr.indptr
-        self.indices = csr.indices
-        self.data = csr.data
-
-    @property
-    def nnz(self) -> int:
-        return int(self.data.shape[0])
-
-    @classmethod
-    def from_coo(cls, coo: COOMatrix) -> "CSCMatrix":
-        transposed = COOMatrix(
-            (coo.shape[1], coo.shape[0]), coo.cols, coo.rows, coo.vals
-        )
-        csr = CSRMatrix.from_coo(transposed)
-        return cls(coo.shape, csr.indptr, csr.indices, csr.data)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "CSCMatrix":
-        return cls.from_coo(COOMatrix.from_dense(dense))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
-        for j in range(self.shape[1]):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            out[self.indices[lo:hi], j] = self.data[lo:hi]
-        return out
-
-    def col(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Row indices and values of column ``j``."""
-        if not 0 <= j < self.shape[1]:
-            raise ShapeError(f"column {j} out of range")
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
-    def __repr__(self) -> str:
-        return f"CSCMatrix(shape={self.shape}, nnz={self.nnz})"

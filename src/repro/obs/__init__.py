@@ -12,7 +12,7 @@ activation is a single global swap:
         fleet.run_trace(requests)
     ob.tracer.export_chrome("trace.json")
     ob.requests.export_chrome("requests.json")
-    print(ob.registry.render())
+    print(ob.registry.to_json())
 
 Instrumentation is *observational only*: simulator and fleet outputs
 (``SimReport`` fields, decision logs, result tables, cached artifacts)
@@ -25,7 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, NamedTuple, Optional, Union
 
-from repro.obs.logs import JsonLinesFormatter, configure_logging, get_logger
+from repro.obs.logs import get_logger
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -81,8 +81,6 @@ __all__ = [
     "NULL_PROBE",
     "current_context",
     "get_logger",
-    "configure_logging",
-    "JsonLinesFormatter",
     "tracer",
     "metrics",
     "request_tracer",

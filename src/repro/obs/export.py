@@ -1,4 +1,4 @@
-"""OpenMetrics text exposition + JSON-lines snapshot sidecars.
+"""OpenMetrics text exposition.
 
 Turns a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` into the
 OpenMetrics/Prometheus text format any scraper ingests:
@@ -26,15 +26,10 @@ with a ``ValueError`` naming the offending line. CI round-trips every
 exposition through it — :func:`roundtrip` re-aggregates the parsed
 samples and compares against the original snapshot value-for-value — so
 the exporter can never silently drift from the format.
-
-:class:`SnapshotWriter` is the periodic sidecar: one JSON object per
-line (``{"t": ..., "metrics": <snapshot>}``), append-only, cheap enough
-to call at every autoscale tick.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import Dict, List, Optional, Tuple
@@ -45,8 +40,6 @@ __all__ = [
     "to_openmetrics",
     "parse_openmetrics",
     "roundtrip",
-    "SnapshotWriter",
-    "load_snapshots",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -495,45 +488,3 @@ def roundtrip(snapshot: Dict[str, dict],
                 )
     return text
 
-
-# ----------------------------------------------------------------------
-# JSON-lines snapshot sidecar
-# ----------------------------------------------------------------------
-class SnapshotWriter:
-    """Append-only JSON-lines sidecar of periodic registry snapshots."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.written = 0
-
-    def write(self, snapshot: Dict[str, dict], t: float) -> None:
-        """Append one ``{"t", "seq", "metrics"}`` line."""
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(
-                {"t": round(float(t), 12), "seq": self.written,
-                 "metrics": snapshot},
-                sort_keys=True,
-            ) + "\n")
-        self.written += 1
-
-
-def load_snapshots(path: str) -> List[dict]:
-    """Read a :class:`SnapshotWriter` sidecar back (strict JSON lines)."""
-    out: List[dict] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: bad snapshot line: {exc}"
-                ) from exc
-            if "t" not in entry or "metrics" not in entry:
-                raise ValueError(
-                    f"{path}:{lineno}: snapshot line missing 't'/'metrics'"
-                )
-            out.append(entry)
-    return out

@@ -4,21 +4,15 @@ Every ``repro`` module gets its logger from :func:`get_logger` (namespaced
 under ``repro.``), replacing the ad-hoc ``warnings.warn`` calls that sweeps
 could neither capture nor filter. Nothing is emitted until the application
 opts in: the root ``repro`` logger carries a ``NullHandler`` by default, so
-library use stays silent (standard-library convention).
-
-:func:`configure_logging` is the single opt-in switch: it sets the level,
-attaches a human-readable stream handler, and optionally a JSON-lines file
-handler (one ``{"ts", "level", "logger", "msg", ...}`` object per line)
-that sweep tooling can parse.
+library use stays silent (standard-library convention); attach a handler
+to the ``repro`` logger to see the records.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-from typing import IO, Optional
 
-__all__ = ["get_logger", "configure_logging", "JsonLinesFormatter"]
+__all__ = ["get_logger"]
 
 ROOT_NAME = "repro"
 
@@ -32,76 +26,3 @@ def get_logger(name: str) -> logging.Logger:
     if name == ROOT_NAME or name.startswith(ROOT_NAME + "."):
         return logging.getLogger(name)
     return logging.getLogger(f"{ROOT_NAME}.{name}")
-
-
-class JsonLinesFormatter(logging.Formatter):
-    """One JSON object per record: ts, level, logger, msg (+ extras).
-
-    When a request span is active (see
-    :meth:`repro.obs.reqtrace.RequestTracer.activate`), the record also
-    carries ``trace_id``/``span_id``, so fleet logs join against request
-    traces. The lookup is a lazy import + one list peek, and only runs
-    at format time — records emitted with logging disabled never pay it.
-    """
-
-    def format(self, record: logging.LogRecord) -> str:
-        payload = {
-            "ts": round(record.created, 6),
-            "level": record.levelname,
-            "logger": record.name,
-            "msg": record.getMessage(),
-        }
-        # Imported lazily: logs.py loads before reqtrace in obs/__init__,
-        # and a top-level import would be circular.
-        from repro.obs.reqtrace import current_context
-
-        context = current_context()
-        if context is not None:
-            payload["trace_id"], payload["span_id"] = context
-        if record.exc_info and record.exc_info[0] is not None:
-            payload["exc"] = self.formatException(record.exc_info)
-        extra = getattr(record, "fields", None)
-        if isinstance(extra, dict):
-            payload.update(extra)
-        return json.dumps(payload, default=str)
-
-
-def configure_logging(
-    level: str = "INFO",
-    json_path: Optional[str] = None,
-    stream: Optional[IO[str]] = None,
-) -> logging.Logger:
-    """Opt in to log output from the ``repro`` tree.
-
-    Parameters
-    ----------
-    level:
-        Root level name (``"DEBUG"``, ``"INFO"``, ...).
-    json_path:
-        When given, also append JSON-lines records to this file.
-    stream:
-        Stream for the human-readable handler (default ``sys.stderr``
-        via ``StreamHandler``); pass ``None`` to keep the default.
-
-    Calling it again reconfigures: previously attached (non-Null)
-    handlers are removed first, so repeated CLI invocations in one
-    process don't stack duplicate handlers.
-    """
-    root = logging.getLogger(ROOT_NAME)
-    for handler in list(root.handlers):
-        if not isinstance(handler, logging.NullHandler):
-            root.removeHandler(handler)
-            handler.close()
-    root.setLevel(getattr(logging, level.upper(), logging.INFO))
-
-    console = logging.StreamHandler(stream)
-    console.setFormatter(
-        logging.Formatter("%(asctime)s %(levelname)-7s %(name)s: %(message)s")
-    )
-    root.addHandler(console)
-
-    if json_path is not None:
-        jh = logging.FileHandler(json_path)
-        jh.setFormatter(JsonLinesFormatter())
-        root.addHandler(jh)
-    return root

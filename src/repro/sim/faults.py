@@ -43,7 +43,6 @@ callers see the fault timeline of a fully live run.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -189,94 +188,6 @@ class FaultPlan:
     def models_spm_faults(self) -> bool:
         """True when SPM protection (checksum + replay) is being costed."""
         return self.spm_bitflip_rate > 0
-
-    # ------------------------------------------------------------------
-    # Serialization + composition (the chaos schedule layer builds
-    # compound plans out of typed events and persists them as JSON).
-    # ------------------------------------------------------------------
-    def to_json(self) -> Dict[str, object]:
-        """A JSON-safe dict that round-trips exactly via :meth:`from_json`.
-
-        Floats are emitted as-is (``json`` preserves IEEE doubles via
-        ``repr``), tuples become lists; ``from_json(to_json(p)) == p``
-        for every valid plan — the property the regression corpus leans
-        on for bit-identical replay.
-        """
-        return {
-            "seed": int(self.seed),
-            "spm_bitflip_rate": self.spm_bitflip_rate,
-            "detection_coverage": self.detection_coverage,
-            "checksum_cycles": int(self.checksum_cycles),
-            "replay_penalty_cycles": int(self.replay_penalty_cycles),
-            "hbm_stall_rate": self.hbm_stall_rate,
-            "hbm_stall_cycles": int(self.hbm_stall_cycles),
-            "hbm_outage_rate": self.hbm_outage_rate,
-            "hbm_channels": int(self.hbm_channels),
-            "pe_lane_dropout_rate": self.pe_lane_dropout_rate,
-            "forced_lane_drops": list(self.forced_lane_drops),
-            "launch_abort_rate": self.launch_abort_rate,
-            "chip_failure_rate": self.chip_failure_rate,
-            "forced_chip_failures": list(self.forced_chip_failures),
-            "shard_kill_rate": self.shard_kill_rate,
-            "forced_shard_kills": [list(k) for k in self.forced_shard_kills],
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_json` output (exact inverse)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown FaultPlan fields in JSON: {sorted(unknown)}"
-            )
-        kwargs = dict(data)
-        if "forced_shard_kills" in kwargs:
-            kwargs["forced_shard_kills"] = tuple(
-                (int(s), float(f)) for s, f in kwargs["forced_shard_kills"]
-            )
-        return cls(**kwargs)
-
-    def merge(self, other: "FaultPlan") -> "FaultPlan":
-        """Compose two plans into one (seed taken from ``self``).
-
-        Rates combine as independent hazards — ``1 - (1-a)(1-b)`` — so
-        layering a schedule's events onto a base plan never *lowers* a
-        fault probability; forced lists union; cycle/channel knobs take
-        the max (the costlier model wins) and ``detection_coverage`` the
-        min (the weaker checker wins).
-        """
-        def hazard(a: float, b: float) -> float:
-            return 1.0 - (1.0 - a) * (1.0 - b)
-
-        return FaultPlan(
-            seed=self.seed,
-            spm_bitflip_rate=hazard(self.spm_bitflip_rate, other.spm_bitflip_rate),
-            detection_coverage=min(self.detection_coverage, other.detection_coverage),
-            checksum_cycles=max(self.checksum_cycles, other.checksum_cycles),
-            replay_penalty_cycles=max(
-                self.replay_penalty_cycles, other.replay_penalty_cycles
-            ),
-            hbm_stall_rate=hazard(self.hbm_stall_rate, other.hbm_stall_rate),
-            hbm_stall_cycles=max(self.hbm_stall_cycles, other.hbm_stall_cycles),
-            hbm_outage_rate=hazard(self.hbm_outage_rate, other.hbm_outage_rate),
-            hbm_channels=max(self.hbm_channels, other.hbm_channels),
-            pe_lane_dropout_rate=hazard(
-                self.pe_lane_dropout_rate, other.pe_lane_dropout_rate
-            ),
-            forced_lane_drops=tuple(
-                sorted(set(self.forced_lane_drops) | set(other.forced_lane_drops))
-            ),
-            launch_abort_rate=hazard(self.launch_abort_rate, other.launch_abort_rate),
-            chip_failure_rate=hazard(self.chip_failure_rate, other.chip_failure_rate),
-            forced_chip_failures=tuple(
-                sorted(set(self.forced_chip_failures) | set(other.forced_chip_failures))
-            ),
-            shard_kill_rate=hazard(self.shard_kill_rate, other.shard_kill_rate),
-            forced_shard_kills=tuple(
-                sorted(set(self.forced_shard_kills) | set(other.forced_shard_kills))
-            ),
-        )
 
     def uniforms(self, n: int, *labels: object) -> np.ndarray:
         """``n`` deterministic uniforms on the stream named by ``labels``."""

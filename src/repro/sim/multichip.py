@@ -57,14 +57,6 @@ class MultiChipResult:
     ``failed_chips`` names them, ``fault_events`` records the failures and
     ``recovery`` holds the surviving chips' re-deal round covering the dead
     chips' slices.
-
-    With hedging enabled, ``hedge`` is the straggler chip's slice set
-    replayed on the least-loaded twin chip (queued behind the twin's own
-    work); ``hedge_won`` records whether the twin's copy finished first —
-    in which case the straggler's in-flight run is cancelled at the
-    twin's completion time (first-wins) — and a hedged straggler that
-    *fails* is covered by its twin instead of joining the recovery
-    re-deal.
     """
 
     assignments: List[ChipAssignment]
@@ -72,100 +64,16 @@ class MultiChipResult:
     failed_chips: List[int] = field(default_factory=list)
     recovery: List[ChipAssignment] = field(default_factory=list)
     fault_events: List[FaultEvent] = field(default_factory=list)
-    hedge: Optional[ChipAssignment] = None
-    hedge_straggler_chip: Optional[int] = None
-    hedge_won: bool = False
 
     @property
     def num_chips(self) -> int:
         return len(self.assignments)
 
     @property
-    def hedge_completion_s(self) -> float:
-        """When the twin's hedged copy finishes: its own primary work plus
-        the replayed straggler slices (inf with no hedge)."""
-        if self.hedge is None or self.hedge.report is None:
-            return float("inf")
-        twin_own = next(
-            (
-                a.report.time_s
-                for a in self.assignments
-                if a.chip == self.hedge.chip and a.report
-            ),
-            0.0,
-        )
-        return twin_own + self.hedge.report.time_s
-
-    @property
-    def hedge_saved_s(self) -> float:
-        """Wall-clock the winning hedge shaved off the straggler's own
-        completion (0 when the hedge lost or was never launched)."""
-        if self.hedge is None or not self.hedge_won:
-            return 0.0
-        straggler = next(
-            (
-                a
-                for a in self.assignments
-                if a.chip == self.hedge_straggler_chip
-            ),
-            None,
-        )
-        if straggler is None or straggler.failed or straggler.report is None:
-            return 0.0
-        return max(0.0, straggler.report.time_s - self.hedge_completion_s)
-
-    @property
-    def _straggler_completion_s(self) -> float:
-        """The hedged straggler's own finish time (inf when it failed)."""
-        straggler = next(
-            (
-                a
-                for a in self.assignments
-                if a.chip == self.hedge_straggler_chip
-            ),
-            None,
-        )
-        if straggler is None or straggler.failed or straggler.report is None:
-            return float("inf")
-        return straggler.report.time_s
-
-    @property
-    def hedge_wasted_s(self) -> float:
-        """Twin chip-seconds burnt on a hedge that lost the race (the
-        partial copy executed before first-wins cancelled it)."""
-        if self.hedge is None or self.hedge.report is None or self.hedge_won:
-            return 0.0
-        twin_own = self.hedge_completion_s - self.hedge.report.time_s
-        ran_for = max(0.0, self._straggler_completion_s - twin_own)
-        return min(self.hedge.report.time_s, ran_for)
-
-    def _chip_completion_s(self, a: ChipAssignment) -> float:
-        """One primary-round chip's completion under hedge accounting
-        (the race resolves first-wins: the loser is cancelled the moment
-        the winner's copy of the slices completes)."""
-        t = a.report.time_s if a.report is not None else 0.0
-        if self.hedge is not None and a.chip == self.hedge.chip:
-            # The twin runs its hedged copy back-to-back after its own
-            # work, but is cancelled early if the straggler finishes first.
-            t = min(
-                self.hedge_completion_s,
-                max(t, self._straggler_completion_s),
-            )
-        if (
-            self.hedge_won
-            and a.chip == self.hedge_straggler_chip
-            and not a.failed
-            and a.report is not None
-        ):
-            t = min(t, self.hedge_completion_s)
-        return t
-
-    @property
     def primary_span_s(self) -> float:
-        """Completion time of the primary round (slowest surviving chip,
-        hedge race resolved first-wins)."""
+        """Completion time of the primary round (slowest surviving chip)."""
         return max(
-            (self._chip_completion_s(a) for a in self.assignments),
+            (a.report.time_s for a in self.assignments if a.report),
             default=0.0,
         )
 
@@ -189,11 +97,8 @@ class MultiChipResult:
 
     @property
     def total_chip_seconds(self) -> float:
-        extra = [self.hedge] if self.hedge is not None else []
         return sum(
-            a.report.time_s
-            for a in self.assignments + self.recovery + extra
-            if a.report
+            a.report.time_s for a in self.assignments + self.recovery if a.report
         )
 
     @property
@@ -206,25 +111,15 @@ class MultiChipResult:
 
     @property
     def total_ops(self) -> int:
-        extra = [self.hedge] if self.hedge is not None else []
         return sum(
-            a.report.ops
-            for a in self.assignments + self.recovery + extra
-            if a.report
+            a.report.ops for a in self.assignments + self.recovery if a.report
         )
 
     def combined_output(self, out_shape) -> np.ndarray:
         """Assemble the global output from the per-chip partial outputs
-        (failed chips' slices come from the recovery round, or from the
-        twin's hedged copy when the straggler was hedged)."""
+        (failed chips' slices come from the recovery round)."""
         out = np.zeros(out_shape, dtype=np.float64)
-        extra = (
-            [self.hedge]
-            if self.hedge is not None
-            and self.hedge_straggler_chip in self.failed_chips
-            else []
-        )
-        for a in self.assignments + self.recovery + extra:
+        for a in self.assignments + self.recovery:
             if a.failed or a.slices.size == 0:
                 continue
             if a.report is None or a.report.output is None:
@@ -336,17 +231,8 @@ class MultiChipTensaurus:
         mode: int = 0,
         msu_mode: str = "auto",
         compute_output: bool = False,
-        hedge: bool = False,
     ) -> MultiChipResult:
-        """Partitioned SpMTTKRP: each chip runs its slice subset.
-
-        ``hedge=True`` additionally replays the heaviest chip's slices on
-        the least-loaded surviving chip (queued behind its own work) —
-        the classic straggler hedge. The race resolves first-wins in the
-        result's makespan accounting, and a hedged straggler that fails
-        outright is covered by its twin instead of the recovery re-deal.
-        The default (off) path is untouched and bit-identical.
-        """
+        """Partitioned SpMTTKRP: each chip runs its slice subset."""
         if tensor.ndim != 3:
             raise KernelError("multi-chip tensor kernels are 3-d")
         run_idx = self._runs
@@ -383,55 +269,6 @@ class MultiChipTensaurus:
         for chip in sorted(failed):
             events.append(FaultEvent(CHIP_FAILURE, ("chip", int(chip))))
 
-        # --- Straggler hedge: replay the heaviest chip's slices on the
-        # least-loaded surviving twin, queued behind the twin's own work.
-        hedge_assignment: Optional[ChipAssignment] = None
-        hedge_straggler: Optional[int] = None
-        hedge_won = False
-        if hedge and self.num_chips >= 2:
-            loaded = [a for a in assignments if a.nnz > 0]
-            if len(loaded) >= 2:
-                straggler = max(loaded, key=lambda a: (a.nnz, -a.chip))
-                twins = [
-                    a
-                    for a in assignments
-                    if a.chip != straggler.chip and not a.failed
-                ]
-                if twins:
-                    twin = min(twins, key=lambda a: (a.nnz, a.chip))
-                    sub = _restrict_to_slices(tensor, mode, straggler.slices)
-                    hedge_plan = None
-                    if armed:
-                        # The hedge exists to absorb failures, not re-draw
-                        # them: abort/chip-failure knobs are stripped.
-                        hedge_plan = replace(
-                            plan,
-                            launch_abort_rate=0.0,
-                            chip_failure_rate=0.0,
-                            forced_chip_failures=(),
-                        )
-                    acc = Tensaurus(
-                        self.config,
-                        fault_plan=hedge_plan,
-                        fault_epoch=2 * self.num_chips + twin.chip,
-                    )
-                    hedge_assignment = ChipAssignment(
-                        twin.chip, straggler.slices, sub.nnz
-                    )
-                    hedge_assignment.report = acc.run_mttkrp(
-                        sub, mat_b, mat_c, mode=mode, msu_mode=msu_mode,
-                        compute_output=compute_output,
-                    )
-                    hedge_straggler = straggler.chip
-                    twin_own = twin.report.time_s if twin.report else 0.0
-                    hedge_done = twin_own + hedge_assignment.report.time_s
-                    straggler_done = (
-                        straggler.report.time_s
-                        if (not straggler.failed and straggler.report)
-                        else float("inf")
-                    )
-                    hedge_won = hedge_done < straggler_done
-
         recovery: List[ChipAssignment] = []
         if failed:
             survivors = [c for c in range(self.num_chips) if c not in failed]
@@ -439,15 +276,8 @@ class MultiChipTensaurus:
                 raise FaultError(
                     f"all {self.num_chips} chips failed in run {run_idx}"
                 )
-            # A hedged straggler's slices are already covered by its twin:
-            # they do not join the recovery re-deal.
-            covered = (
-                {hedge_straggler}
-                if hedge_assignment is not None and hedge_straggler in failed
-                else set()
-            )
             orphans = np.concatenate(
-                [partitions[c] for c in sorted(failed) if c not in covered]
+                [partitions[c] for c in sorted(failed)]
                 + [np.empty(0, dtype=np.int64)]
             ).astype(np.int64)
             if orphans.size:
@@ -490,9 +320,6 @@ class MultiChipTensaurus:
             failed_chips=sorted(int(c) for c in failed),
             recovery=recovery,
             fault_events=events,
-            hedge=hedge_assignment,
-            hedge_straggler_chip=hedge_straggler,
-            hedge_won=hedge_won,
         )
 
 

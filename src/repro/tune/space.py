@@ -2,16 +2,11 @@
 
 A :class:`ConfigSpace` is a dict of config-field-name -> candidate-value
 tuples plus validity constraints (predicates over the *realized* config, so
-they can reference derived quantities like ``mac_units``). It owns the two
-operations the tuner needs and nothing more:
-
-- **deterministic enumeration** — the Cartesian product in sorted field
-  order with values in declaration order, filtered by the constraints.
-  Every consumer (tuner, exhaustive-grid baseline, tests) sees the same
-  point list in the same order.
-- **seeded sampling** — a without-replacement subset drawn with
-  :func:`repro.util.rng.make_rng`, returned in enumeration order so a
-  sampled search stays a prefix-stable subset of the full space.
+they can reference derived quantities like ``mac_units``). It owns the one
+operation the tuner needs and nothing more: **deterministic enumeration** —
+the Cartesian product in sorted field order with values in declaration
+order, filtered by the constraints. Every consumer (tuner, exhaustive-grid
+baseline, tests) sees the same point list in the same order.
 
 Spaces are cheap descriptions; nothing is simulated here. The paper's
 evaluated design point is always reachable as the empty-override dict
@@ -29,13 +24,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.config import TensaurusConfig
 from repro.util.errors import ConfigError
-from repro.util.rng import make_rng
 
 #: A validity predicate over a realized config. Named functions (not
 #: lambdas) keep spaces picklable and their reprs meaningful.
 Constraint = Callable[[TensaurusConfig], bool]
 
-#: Enumeration guard: spaces larger than this must be sampled, not listed.
+#: Enumeration guard: spaces larger than this are refused, not listed.
 MAX_ENUM = 1_000_000
 
 
@@ -120,7 +114,7 @@ class ConfigSpace:
             if self.raw_size > MAX_ENUM:
                 raise ConfigError(
                     f"space has {self.raw_size} raw points (> {MAX_ENUM}); "
-                    "use sample(n, seed) instead of full enumeration"
+                    "too many to enumerate"
                 )
             names = self.names
             self._points = [
@@ -137,47 +131,6 @@ class ConfigSpace:
     def configs(self) -> List[Tuple[Dict[str, object], TensaurusConfig]]:
         """``(params, realized config)`` for every valid point."""
         return [(p, self._realize(p)) for p in self.points()]
-
-    def sample(self, n: int, seed: int = 0) -> List[Dict[str, object]]:
-        """A seeded without-replacement subset, in enumeration order.
-
-        For spaces past the enumeration guard, candidate raw points are
-        drawn by mixed-radix index (still seeded and deterministic) and
-        filtered; the draw oversamples to survive constraint rejection.
-        """
-        if n <= 0:
-            raise ConfigError("sample size must be positive")
-        rng = make_rng(seed)
-        if self.raw_size <= MAX_ENUM:
-            pts = self.points()
-            if n >= len(pts):
-                return list(pts)
-            idx = rng.choice(len(pts), size=n, replace=False)
-            return [pts[i] for i in sorted(idx.tolist())]
-        names = self.names
-        radices = [len(self.params[m]) for m in names]
-        seen = set()
-        picked: List[Tuple[int, Dict[str, object]]] = []
-        # Rejection-sample raw indices; bounded rounds keep this finite
-        # even when constraints are punishing.
-        for _ in range(64):
-            if len(picked) >= n:
-                break
-            draws = rng.integers(0, self.raw_size, size=4 * n)
-            for lin in draws.tolist():
-                if lin in seen:
-                    continue
-                seen.add(lin)
-                point, rem = {}, lin
-                for name, radix in zip(reversed(names), reversed(radices)):
-                    point[name] = self.params[name][rem % radix]
-                    rem //= radix
-                point = {m: point[m] for m in names}
-                if self.is_valid(point):
-                    picked.append((lin, point))
-                    if len(picked) >= n:
-                        break
-        return [p for _, p in sorted(picked, key=lambda t: t[0])]
 
     def __len__(self) -> int:
         return self.size

@@ -47,20 +47,6 @@ class TunedConfigEntry:
         """Realize the tuned config against ``base`` (paper default)."""
         return (base or TensaurusConfig()).scaled(**self.params)
 
-    def to_json(self) -> dict:
-        return {
-            "workload": self.workload,
-            "fingerprint": self.fingerprint,
-            "kernel": self.kernel,
-            "params": dict(self.params),
-            "cycles": self.cycles,
-            "baseline_cycles": self.baseline_cycles,
-            "improvement": self.improvement,
-            "seed": self.seed,
-            "budget": self.budget,
-            "oracle_sims": self.oracle_sims,
-        }
-
 
 class TunedRegistry:
     """Fingerprint-keyed store of tuned configs."""

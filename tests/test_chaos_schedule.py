@@ -83,13 +83,6 @@ class TestChaosSchedule:
         )
         assert sched.fault_plan().forced_shard_kills == ((1, 0.4),)
 
-    def test_base_plan_merges_underneath(self):
-        base = FaultPlan(seed=9, hbm_stall_rate=0.1)
-        plan = self.make().fault_plan(base=base)
-        assert plan.hbm_stall_rate == pytest.approx(0.1)
-        assert plan.forced_shard_kills == ((1, 0.3),)
-        assert plan.seed == 9
-
     def test_needs_two_shards(self):
         with pytest.raises(ConfigError):
             ChaosSchedule(seed=0, shards=1)

@@ -10,7 +10,6 @@ from repro.energy import (
     TENSAURUS_TOTAL_AREA_MM2,
     TENSAURUS_TOTAL_POWER_W,
     accelerator_energy,
-    baseline_energy,
     scale_power_65_to_28,
 )
 from repro.sim import Tensaurus
@@ -75,12 +74,6 @@ class TestBaselinePowers:
     def test_ordering(self):
         assert GPU_POWER.compute_w > CPU_POWER.compute_w > CAMBRICON_POWER.compute_w
 
-    def test_baseline_energy_lookup(self):
-        assert baseline_energy("cpu", 1.0) == pytest.approx(22.0)
-        assert baseline_energy("gpu", 2.0) == pytest.approx(500.0)
-        with pytest.raises(KeyError):
-            baseline_energy("tpu", 1.0)
-
     def test_dram_term(self):
-        with_bytes = baseline_energy("cpu", 1.0, bytes_moved=10**9)
-        assert with_bytes > baseline_energy("cpu", 1.0)
+        with_bytes = CPU_POWER.energy(1.0, bytes_moved=10**9)
+        assert with_bytes > CPU_POWER.energy(1.0)

@@ -5,16 +5,13 @@ emitted page must parse, every parser error case must be rejected with a
 line number, and a live fleet registry must round-trip value-for-value.
 """
 
-import json
 
 import pytest
 
 from repro import obs
 from repro.obs import MetricsRegistry
 from repro.obs.export import (
-    SnapshotWriter,
     escape_label_value,
-    load_snapshots,
     metric_name,
     parse_openmetrics,
     roundtrip,
@@ -136,31 +133,3 @@ class TestRoundTrip:
         fams = parse_openmetrics(text)
         assert "fleet_admitted" in fams
 
-
-class TestSnapshotSidecar:
-    def test_write_and_load(self, tmp_path):
-        path = tmp_path / "snaps.jsonl"
-        writer = SnapshotWriter(str(path))
-        reg = _registry()
-        writer.write(reg.snapshot(), t=0.1)
-        reg.counter("requests", "total requests").inc()
-        writer.write(reg.snapshot(), t=0.2)
-        snaps = load_snapshots(str(path))
-        assert [s["t"] for s in snaps] == [0.1, 0.2]
-        assert snaps[0]["seq"] == 0 and snaps[1]["seq"] == 1
-        assert snaps[1]["metrics"]["requests"]["value"] == 8
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"t": 0.1}\n')
-        with pytest.raises(ValueError):
-            load_snapshots(str(path))
-        path.write_text("not json\n")
-        with pytest.raises(ValueError):
-            load_snapshots(str(path))
-
-    def test_lines_are_valid_json(self, tmp_path):
-        path = tmp_path / "snaps.jsonl"
-        SnapshotWriter(str(path)).write(_registry().snapshot(), t=1.0)
-        (line,) = path.read_text().splitlines()
-        assert json.loads(line)["t"] == 1.0

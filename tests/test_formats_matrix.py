@@ -1,11 +1,11 @@
-"""Tests for COO/CSR/CSC matrix formats."""
+"""Tests for COO/CSR matrix formats."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formats import COOMatrix, CSCMatrix, CSRMatrix
+from repro.formats import COOMatrix, CSRMatrix
 from repro.util.errors import FormatError, ShapeError
 
 
@@ -106,34 +106,6 @@ class TestCSR:
         assert np.allclose(csr.to_coo().to_dense(), dense)
 
 
-class TestCSC:
-    def test_roundtrip(self, rng):
-        dense = random_dense(rng)
-        csc = CSCMatrix.from_dense(dense)
-        assert np.allclose(csc.to_dense(), dense)
-
-    def test_col_access(self, rng):
-        dense = random_dense(rng)
-        csc = CSCMatrix.from_dense(dense)
-        for j in range(dense.shape[1]):
-            rows, vals = csc.col(j)
-            expected = np.flatnonzero(dense[:, j])
-            assert np.array_equal(rows, expected)
-            assert np.allclose(vals, dense[expected, j])
-
-    def test_col_out_of_range(self, rng):
-        csc = CSCMatrix.from_dense(random_dense(rng))
-        with pytest.raises(ShapeError):
-            csc.col(99)
-
-    def test_agrees_with_csr_transpose(self, rng):
-        dense = random_dense(rng)
-        csc = CSCMatrix.from_dense(dense)
-        csr_t = CSRMatrix.from_dense(dense.T)
-        assert np.array_equal(csc.indptr, csr_t.indptr)
-        assert np.array_equal(csc.indices, csr_t.indices)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     rows=st.integers(1, 12),
@@ -143,5 +115,5 @@ class TestCSC:
 def test_property_all_formats_roundtrip(rows, cols, seed):
     rng = np.random.default_rng(seed)
     dense = (rng.random((rows, cols)) < 0.5) * rng.standard_normal((rows, cols))
-    for cls in (COOMatrix, CSRMatrix, CSCMatrix):
+    for cls in (COOMatrix, CSRMatrix):
         assert np.allclose(cls.from_dense(dense).to_dense(), dense), cls

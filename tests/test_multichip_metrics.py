@@ -1,21 +1,12 @@
-"""Tests for the multi-chip scaling model and factorization metrics."""
+"""Tests for the multi-chip scaling model."""
 
 import numpy as np
 import pytest
 
-from repro.factorization import (
-    congruence,
-    cp_als,
-    cp_factor_match,
-    factor_match_score,
-    fit_score,
-    normalize_factors,
-)
 from repro.kernels import mttkrp_sparse
 from repro.sim import MultiChipTensaurus, Tensaurus, partition_slices
 from repro.tensor import SparseTensor
-from repro.util.errors import ConfigError, KernelError, ShapeError
-from repro.util.rng import make_rng
+from repro.util.errors import ConfigError, KernelError
 
 from tests.conftest import random_tensor
 
@@ -100,140 +91,3 @@ class TestMultiChip:
                 np.ones((2, 2)), np.ones((2, 2)),
             )
 
-
-class TestMetrics:
-    def test_fit_score_perfect(self, rng):
-        dense = rng.random((5, 4, 3))
-        assert fit_score(dense, dense) == pytest.approx(1.0)
-
-    def test_fit_score_sparse_matches_dense_path(self, tensor, rng):
-        model = rng.standard_normal(tensor.shape)
-        sparse_fit = fit_score(tensor, model)
-        dense_fit = fit_score(tensor.to_dense(), model)
-        assert sparse_fit == pytest.approx(dense_fit)
-
-    def test_fit_score_shape_check(self, rng):
-        with pytest.raises(ShapeError):
-            fit_score(rng.random((2, 2)), rng.random((3, 3)))
-
-    def test_normalize_factors(self, rng):
-        facs = [rng.random((6, 3)) + 0.1, rng.random((5, 3)) + 0.1]
-        weights, normed = normalize_factors(facs)
-        for f in normed:
-            assert np.allclose(np.linalg.norm(f, axis=0), 1.0)
-        # Reconstruction preserved: weights absorb the norms.
-        orig = np.einsum("ir,jr->ijr", *facs)
-        recon = np.einsum("r,ir,jr->ijr", weights, *normed)
-        assert np.allclose(orig, recon)
-
-    def test_congruence_identity(self, rng):
-        f = rng.standard_normal((8, 3))
-        c = congruence(f, f)
-        assert np.allclose(np.diag(c), 1.0)
-
-    def test_congruence_shape_check(self, rng):
-        with pytest.raises(ShapeError):
-            congruence(rng.random((4, 2)), rng.random((5, 2)))
-
-    def test_factor_match_score_recovers_permutation(self, rng):
-        ref = [rng.standard_normal((7, 3)) for _ in range(3)]
-        perm = [1, 2, 0]
-        est = [f[:, perm] * (-1) ** np.arange(3) for f in ref]
-        # Sign flips multiply across modes: an odd number of modes flips the
-        # triple product's sign, which FMS ignores via absolute congruence.
-        assert factor_match_score(est, ref) == pytest.approx(1.0)
-
-    def test_factor_match_on_fitted_cp(self, rng):
-        ref = [rng.standard_normal((s, 2)) for s in (10, 9, 8)]
-        x = np.einsum("ir,jr,kr->ijk", *ref)
-        cp = cp_als(x, rank=2, num_iters=200, tol=0, seed=1)
-        assert cp_factor_match(cp, ref) > 0.95
-
-    def test_factor_match_validation(self, rng):
-        with pytest.raises(ShapeError):
-            factor_match_score([rng.random((4, 2))], [rng.random((4, 2))] * 2)
-
-
-class TestHedging:
-    def _operands(self, rng, tensor, rank=6):
-        b = rng.standard_normal((tensor.shape[1], rank))
-        c = rng.standard_normal((tensor.shape[2], rank))
-        return b, c
-
-    def test_hedge_output_matches_unhedged(self, rng, tensor):
-        mc = MultiChipTensaurus(3)
-        b, c = self._operands(rng, tensor)
-        plain = mc.run_mttkrp(tensor, b, c, compute_output=True)
-        hedged = MultiChipTensaurus(3).run_mttkrp(
-            tensor, b, c, compute_output=True, hedge=True
-        )
-        shape = (tensor.shape[0], b.shape[1])
-        assert np.allclose(
-            plain.combined_output(shape), hedged.combined_output(shape)
-        )
-
-    def test_hedge_fields_populated(self, rng, tensor):
-        mc = MultiChipTensaurus(3)
-        b, c = self._operands(rng, tensor)
-        result = mc.run_mttkrp(tensor, b, c, hedge=True)
-        assert result.hedge is not None
-        assert result.hedge_straggler_chip is not None
-        assert result.hedge.chip != result.hedge_straggler_chip
-        # The hedged copy replays exactly the straggler's slice set.
-        straggler = next(
-            a for a in result.assignments
-            if a.chip == result.hedge_straggler_chip
-        )
-        assert np.array_equal(result.hedge.slices, straggler.slices)
-
-    def test_default_no_hedge_unchanged(self, rng, tensor):
-        b, c = self._operands(rng, tensor)
-        result = MultiChipTensaurus(3).run_mttkrp(tensor, b, c)
-        assert result.hedge is None
-        assert not result.hedge_won
-        assert result.hedge_saved_s == 0.0
-        assert result.hedge_wasted_s == 0.0
-
-    def test_losing_hedge_does_not_inflate_makespan(self, rng, tensor):
-        """First-wins cancellation: when the straggler finishes first the
-        twin's hedge copy is cancelled, so the primary span must not grow
-        beyond the unhedged one."""
-        b, c = self._operands(rng, tensor)
-        plain = MultiChipTensaurus(3).run_mttkrp(tensor, b, c)
-        hedged = MultiChipTensaurus(3).run_mttkrp(tensor, b, c, hedge=True)
-        if not hedged.hedge_won:
-            assert hedged.primary_span_s <= plain.primary_span_s + 1e-12
-
-    def test_failed_straggler_covered_by_twin(self, rng, tensor):
-        from repro.sim import FaultPlan
-
-        b, c = self._operands(rng, tensor)
-        reference = MultiChipTensaurus(3).run_mttkrp(
-            tensor, b, c, compute_output=True
-        )
-        # Find which chip the hedge twin covers, then force exactly that
-        # chip to fail: the twin's copy supplies its slices.
-        probe = MultiChipTensaurus(3).run_mttkrp(tensor, b, c, hedge=True)
-        straggler = probe.hedge_straggler_chip
-        plan = FaultPlan(seed=3, forced_chip_failures=(straggler,))
-        failed = MultiChipTensaurus(3, fault_plan=plan).run_mttkrp(
-            tensor, b, c, compute_output=True, hedge=True
-        )
-        assert straggler in failed.failed_chips
-        shape = (tensor.shape[0], b.shape[1])
-        assert np.allclose(
-            failed.combined_output(shape), reference.combined_output(shape)
-        )
-        assert failed.hedge_won  # the only surviving copy wins by default
-
-    def test_hedge_accounting_totals_include_twin(self, rng, tensor):
-        b, c = self._operands(rng, tensor)
-        plain = MultiChipTensaurus(3).run_mttkrp(tensor, b, c)
-        hedged = MultiChipTensaurus(3).run_mttkrp(tensor, b, c, hedge=True)
-        assert hedged.total_ops > plain.total_ops
-        assert hedged.total_chip_seconds > plain.total_chip_seconds
-
-    def test_hedge_requires_two_chips(self, rng, tensor):
-        b, c = self._operands(rng, tensor)
-        result = MultiChipTensaurus(1).run_mttkrp(tensor, b, c, hedge=True)
-        assert result.hedge is None

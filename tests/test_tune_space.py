@@ -86,29 +86,6 @@ class TestEnumeration:
         assert "max_mac_units" in repr(cons)
 
 
-class TestSampling:
-    def test_deterministic(self):
-        space = default_space()
-        assert space.sample(10, seed=3) == space.sample(10, seed=3)
-        assert space.sample(10, seed=3) != space.sample(10, seed=4)
-
-    def test_subset_in_enumeration_order(self):
-        space = default_space()
-        pts = space.points()
-        sample = space.sample(10, seed=0)
-        idx = [pts.index(p) for p in sample]
-        assert idx == sorted(idx)
-        assert len(set(map(repr, sample))) == 10
-
-    def test_oversized_sample_returns_all(self):
-        space = quick_space()
-        assert space.sample(999, seed=0) == space.points()
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(ConfigError):
-            quick_space().sample(0)
-
-
 class TestHugeSpace:
     def _huge(self):
         return ConfigSpace(
@@ -122,16 +99,8 @@ class TestHugeSpace:
     def test_enumeration_guarded(self):
         space = self._huge()
         assert space.raw_size > MAX_ENUM
-        with pytest.raises(ConfigError, match="use sample"):
+        with pytest.raises(ConfigError, match="too many to enumerate"):
             space.points()
-
-    def test_sampling_still_works(self):
-        space = self._huge()
-        sample = space.sample(5, seed=1)
-        assert len(sample) == 5
-        assert sample == self._huge().sample(5, seed=1)
-        for p in sample:
-            assert space.is_valid(p)
 
 
 class TestStandardSpaces:
