@@ -28,10 +28,11 @@ the unobserved run (``observed_run_identical`` — instrumentation is
 purely observational).
 
 ``--check-baseline`` re-runs the benchmark and compares against the
-committed ``BENCH_fleet.json``: every boolean gate must still hold, and
-the affinity p99 must not regress past the tolerance band (only when
-the baseline was produced at the same scale; a ``--smoke`` run checked
-against a full baseline verifies gates only).
+committed ``BENCH_fleet.json``: every boolean gate must still hold, the
+affinity p99 must not regress past the tolerance band, and the SLO
+replay digest must equal the committed one (only when the baseline was
+produced at the same scale; a ``--smoke`` run checked against a full
+baseline verifies gates only).
 
 Run as ``PYTHONPATH=src python benchmarks/bench_fleet.py`` (add
 ``--smoke`` for the short CI workload).
@@ -208,6 +209,15 @@ def check_baseline(results, baseline_path: Path) -> bool:
                 f"baseline regression: affinity p99 {cur_p99 * 1e3:.1f} ms "
                 f"> {P99_REGRESSION_BAND}x baseline "
                 f"{base_p99 * 1e3:.1f} ms"
+            )
+            ok = False
+        # The SLO replay is seeded and deterministic: its digest must match.
+        base_slo = baseline["obs"]["slo_digest"]
+        cur_slo = results["obs"]["slo_digest"]
+        if cur_slo != base_slo:
+            print(
+                f"baseline regression: SLO digest {cur_slo} != committed "
+                f"{base_slo}"
             )
             ok = False
     else:

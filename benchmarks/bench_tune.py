@@ -19,10 +19,11 @@ oracle cache runs **zero** simulations while reproducing the same
 trajectory digest.
 
 ``--check-baseline`` re-runs the benchmark and compares against the
-committed ``BENCH_tune.json``: every boolean gate must still hold, and
-per-kernel tuned cycles must not regress past the tolerance band (full
-scale only; a ``--smoke`` run checked against a full baseline verifies
-gates only).
+committed ``BENCH_tune.json``: every boolean gate must still hold,
+per-kernel tuned cycles must not regress past the tolerance band, and
+each kernel's trajectory digest, oracle simulations and extra grid
+simulations must equal the committed ones (same run size only; a
+``--smoke`` run checked against a full baseline verifies gates only).
 
 Run as ``PYTHONPATH=src python benchmarks/bench_tune.py`` (add
 ``--smoke`` for the short CI workload).
@@ -59,6 +60,9 @@ SMOKE_SAVINGS_FLOOR = 1.5
 #: baseline by at most this factor (the sims are deterministic, so any
 #: drift here means a model change, not noise).
 CYCLES_REGRESSION_BAND = 1.02
+#: --check-baseline fields compared exactly with the committed baseline of
+#: the same run size: the search trajectory and its oracle spend.
+EXACT_FIELDS = ("trajectory_digest", "oracle_sims", "grid_extra_sims")
 
 #: (label, kernel, dataset, rank) — the paper's headline workloads.
 WORKLOADS = (
@@ -179,6 +183,15 @@ def check_baseline(results, baseline_path: Path) -> bool:
                     f"baseline {base['tuned_cycles']:,}"
                 )
                 ok = False
+            # The seeded search is deterministic: its trajectory and oracle
+            # counts must match the committed run exactly.
+            for field in EXACT_FIELDS:
+                if k[field] != base[field]:
+                    print(
+                        f"baseline regression: {k['workload']} {field} "
+                        f"{k[field]!r} != committed {base[field]!r}"
+                    )
+                    ok = False
     else:
         print("baseline scale differs (smoke flag); gates checked only")
     return ok
