@@ -6,9 +6,10 @@ Measures four things and records them to ``BENCH_sim.json``:
    timed cold (empty encoding cache) and warm (second run, everything
    cached); both reports must equal the digest frozen from the per-tile
    reference engine the batched pipeline replaced;
-2. a 5-iteration accelerated CP-ALS run with the encoding cache on vs off —
-   the 3 MTTKRPs per iteration revisit the same (operand, mode) encodings,
-   so iterations 2..N run almost entirely out of the cache;
+2. a 5-iteration accelerated CP-ALS run with the encoding cache on vs off
+   (best of ``CP_ALS_REPEATS`` alternating runs each) — the 3 MTTKRPs per
+   iteration revisit the same (operand, mode) encodings, so iterations
+   2..N run almost entirely out of the cache;
 3. a 4-point design-space sweep (small enough that the sweep evaluates it
    in-process), checking its ordered ``(params, cycles)`` list against a
    digest frozen when serial and process-pool sweeps both produced it;
@@ -52,6 +53,9 @@ from repro.tensor import SparseTensor
 #: tiles, far past the 500-tile mark.
 BENCH_CONFIG = TensaurusConfig(spm_kb=2, msu_kb=8)
 RANK = 32
+#: Timed runs of each CP-ALS leg; the best of each is kept, so one slow
+#: run on a noisy host does not move ``cache_hit_speedup``.
+CP_ALS_REPEATS = 5
 
 #: sha256 of ``repr(_report_fields(...))`` of the MTTKRP leg per
 #: (shape, nnz) size, computed with the per-tile reference engine (every
@@ -147,27 +151,28 @@ def _timed(fn, *args, **kwargs):
 
 
 def bench_cp_als(shape, nnz, num_iters=5):
+    """Best of ``CP_ALS_REPEATS`` timings of CP-ALS with the encoding cache
+    off and on, the two legs alternating, each on a fresh accelerator."""
     t = _make_tensor(shape, nnz, seed=13)
-    uncached_acc = Tensaurus(
-        replace(BENCH_CONFIG, encoding_cache_entries=0)
-    )
-    uncached_s, _ = _timed(
-        accelerated_cp_als, t, RANK, num_iters=num_iters, seed=1,
-        accelerator=uncached_acc,
-    )
-    cached_acc = Tensaurus(BENCH_CONFIG)
-    cached_s, run = _timed(
-        accelerated_cp_als, t, RANK, num_iters=num_iters, seed=1,
-        accelerator=cached_acc,
-    )
+    configs = {
+        "uncached_s": replace(BENCH_CONFIG, encoding_cache_entries=0),
+        "cached_s": BENCH_CONFIG,
+    }
+    best = dict.fromkeys(configs, float("inf"))
+    for _ in range(CP_ALS_REPEATS):
+        for leg, config in configs.items():
+            seconds, run = _timed(
+                accelerated_cp_als, t, RANK, num_iters=num_iters, seed=1,
+                accelerator=Tensaurus(config),
+            )
+            best[leg] = min(best[leg], seconds)
     return {
         "shape": list(shape),
         "nnz": t.nnz,
         "rank": RANK,
         "num_iters": num_iters,
-        "uncached_s": uncached_s,
-        "cached_s": cached_s,
-        "cache_hit_speedup": uncached_s / cached_s,
+        **best,
+        "cache_hit_speedup": best["uncached_s"] / best["cached_s"],
         "cache_info": run.cache_info,
     }
 
