@@ -107,10 +107,6 @@ class SF3Spec:
     def num_d1(self) -> int:
         return int(self.d1_idx.shape[0])
 
-    @property
-    def num_d0(self) -> int:
-        return int(self.d0_idx.shape[0])
-
 
 def execute_sf3(spec: SF3Spec) -> np.ndarray:
     """Evaluate an SF3 spec in the accelerator's dataflow order.

@@ -126,20 +126,6 @@ class Tracer:
         finally:
             self.end(name, cat)
 
-    def instant(self, name: str, cat: str = "host",
-                args: Optional[Mapping[str, object]] = None) -> None:
-        event = {"name": name, "cat": cat, "ph": "i", "s": "t",
-                 "ts": self._now_us(), "pid": HOST_PID, "tid": 1}
-        if args:
-            event["args"] = dict(args)
-        self.events.append(event)
-
-    def counter(self, name: str, values: Mapping[str, float],
-                cat: str = "host") -> None:
-        self.events.append({"name": name, "cat": cat, "ph": "C",
-                            "ts": self._now_us(), "pid": HOST_PID, "tid": 1,
-                            "args": dict(values)})
-
     # ------------------------------------------------------------------
     # sim (cycle) track
     # ------------------------------------------------------------------
@@ -351,14 +337,6 @@ class NullTracer:
         pass
 
     def end(self, name: str, cat: str = "host") -> None:
-        pass
-
-    def instant(self, name: str, cat: str = "host",
-                args: Optional[Mapping[str, object]] = None) -> None:
-        pass
-
-    def counter(self, name: str, values: Mapping[str, float],
-                cat: str = "host") -> None:
         pass
 
     def add_launch(self, name: str, cycles: int,

@@ -108,10 +108,6 @@ class TensorTilePartition:
         kb = coords[:, 2] // self.k_tile
         self.tid = (ib * self.nj + jb) * self.nk + kb
 
-    @property
-    def nnz(self) -> int:
-        return int(self.coords.shape[0])
-
     @cached_property
     def num_tiles(self) -> int:
         """Number of nonempty tiles (cheap: no sort of the full stream)."""
@@ -176,10 +172,6 @@ class MatrixTilePartition:
         self.j_tile = int(j_tile)
         self.nj = tile_count(self.dims[1], self.j_tile)
         self.tid = (rows // self.i_tile) * self.nj + (cols // self.j_tile)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.rows.shape[0])
 
     @cached_property
     def num_tiles(self) -> int:

@@ -185,13 +185,6 @@ class TraceResult:
         return self.useful_bytes / self.time_s / 1.0e9
 
     @property
-    def raw_gbs(self) -> float:
-        """Bus-occupancy bandwidth including burst waste."""
-        if self.cycles == 0:
-            return 0.0
-        return self.fetched_bytes / self.time_s / 1.0e9
-
-    @property
     def efficiency(self) -> float:
         """Useful / fetched bytes."""
         if self.fetched_bytes == 0:

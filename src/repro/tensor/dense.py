@@ -39,8 +39,3 @@ def fold_dense(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarra
     # Invert the [mode] + rest permutation.
     inverse = np.argsort([mode] + rest)
     return np.transpose(tensor, inverse)
-
-
-def dense_frobenius_norm(array: np.ndarray) -> float:
-    """Frobenius norm of an arbitrary-dimensional dense tensor."""
-    return float(np.linalg.norm(np.asarray(array).ravel()))

@@ -149,11 +149,6 @@ class SparseTensor:
     # ------------------------------------------------------------------
     # Structure queries
     # ------------------------------------------------------------------
-    def mode_indices(self, mode: int) -> np.ndarray:
-        """The coordinate column for one mode, aligned with :attr:`values`."""
-        check_mode(mode, self.ndim)
-        return self._coords[:, mode]
-
     def slice_nnz_counts(self, mode: int) -> np.ndarray:
         """Number of nonzeros in each slice along ``mode`` (length = shape[mode]).
 
