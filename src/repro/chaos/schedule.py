@@ -16,7 +16,7 @@ bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.faults import (

@@ -9,7 +9,7 @@ reference and for the CPU cost model's memory-traffic estimates.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 

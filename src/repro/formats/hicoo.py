@@ -22,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.tensor import SparseTensor
-from repro.util.errors import FormatError, ShapeError
+from repro.util.errors import FormatError
 
 
 class HiCOOTensor:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np

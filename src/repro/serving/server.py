@@ -54,7 +54,7 @@ from repro.serving.trace import WorkloadPool
 from repro.sim.accelerator import Tensaurus
 from repro.sim.config import TensaurusConfig
 from repro.sim.faults import FaultPlan
-from repro.util.errors import ConfigError, FaultError
+from repro.util.errors import FaultError
 from repro.util.rng import uniform
 
 logger = obs.get_logger(__name__)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.sim.config import TensaurusConfig

@@ -19,7 +19,7 @@ tier of the tuner can consume:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
