@@ -91,11 +91,6 @@ class MultiChipResult:
         return self.primary_span_s + self.recovery_span_s
 
     @property
-    def recovery_overhead_s(self) -> float:
-        """Extra wall-clock the failures cost over a fault-free round."""
-        return self.recovery_span_s
-
-    @property
     def total_chip_seconds(self) -> float:
         return sum(
             a.report.time_s for a in self.assignments + self.recovery if a.report

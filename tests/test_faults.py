@@ -297,7 +297,7 @@ class TestMultiChipFailure:
         farm = MultiChipTensaurus(3, CFG)
         result = farm.run_mttkrp(t, b, c, mode=0, compute_output=True)
         assert result.failed_chips == [] and result.recovery == []
-        assert result.recovery_overhead_s == 0.0
+        assert result.recovery_span_s == 0.0
         assert np.allclose(
             result.combined_output((t.shape[0], 6)),
             mttkrp_sparse(t, [b, c], 0),
