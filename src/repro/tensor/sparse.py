@@ -9,6 +9,7 @@ uniform.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -200,9 +201,10 @@ class SparseTensor:
         """Return the tensor with modes reordered (generalized transpose).
 
         The canonical invariant makes this cheap: the permuted coordinates
-        are unique and in-range by construction, so a stable lexsort is all
-        that is needed — no duplicate-summing or zero-dropping pass. An
-        identity permutation returns ``self`` (the tensor is immutable).
+        are unique and in-range by construction, so one sort of their
+        linear keys is all that is needed — no duplicate-summing or
+        zero-dropping pass. An identity permutation returns ``self`` (the
+        tensor is immutable).
         """
         order = tuple(int(m) for m in order)
         if sorted(order) != list(range(self.ndim)):
@@ -211,9 +213,9 @@ class SparseTensor:
             return self
         new_shape = tuple(self._shape[m] for m in order)
         new_coords = self._coords[:, list(order)]
-        # np.lexsort keys run last-to-first; a stable sort on unique keys
-        # reorders exactly like the canonical linearized-key argsort.
-        perm = np.lexsort(tuple(new_coords[:, m] for m in range(self.ndim - 1, -1, -1)))
+        # The permuted coordinates are unique, so sorting their linear keys
+        # gives the lexicographic order in one argsort.
+        perm = np.argsort(_linearize(new_coords, new_shape), kind="stable")
         return SparseTensor(
             new_shape, new_coords[perm], self._values[perm], canonical=True
         )
@@ -265,7 +267,16 @@ class SparseTensor:
 
 
 def _linearize(coords: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Row-major linear index of each coordinate row."""
+    """Row-major linear index of each coordinate row.
+
+    Raises :class:`ShapeError` when there are rows to index and the shape
+    has more cells than int64 can count: the keys would wrap, and distinct
+    coordinates would merge or sort out of order.
+    """
+    if coords.shape[0] and math.prod(shape) > np.iinfo(np.int64).max:
+        raise ShapeError(
+            f"shape {shape} has more cells than an int64 key can index"
+        )
     key = np.zeros(coords.shape[0], dtype=np.int64)
     for mode, size in enumerate(shape):
         key = key * size + coords[:, mode]

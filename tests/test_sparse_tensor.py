@@ -53,6 +53,40 @@ class TestConstruction:
         with pytest.raises(ShapeError):
             SparseTensor((2, 2), np.zeros((2, 2)), np.ones(3))
 
+    @pytest.mark.parametrize(
+        "shape, coords",
+        [
+            # 2**65 cells: both keys wrap to 0, so the nonzeros would merge.
+            ((2**23, 2**21, 2**21), [[0, 0, 0], [2**22, 0, 0]]),
+            # 2**64 cells: the first key wraps negative and sorts first.
+            ((2**21, 2**21, 2**22), [[2**20, 0, 0], [0, 0, 1]]),
+        ],
+    )
+    def test_shape_beyond_int64_keys_rejected(self, shape, coords):
+        with pytest.raises(ShapeError):
+            SparseTensor(shape, coords, [1.0, 2.0])
+
+    def test_empty_tensor_of_any_shape_permutes(self):
+        # No nonzeros, no keys to wrap.
+        t = SparseTensor.empty((2**40, 2**40, 2**40))
+        assert t.permute_modes([2, 0, 1]).nnz == 0
+
+    def test_large_shape_within_int64_keys(self):
+        # 2**62 cells: every key fits, so order and values are exact.
+        t = SparseTensor(
+            (2**20, 2**21, 2**21),
+            [[2**20 - 1, 0, 0], [0, 2**21 - 1, 2**21 - 1], [0, 0, 1]],
+            [1.0, 2.0, 3.0],
+        )
+        assert t.coords.tolist() == [
+            [0, 0, 1], [0, 2**21 - 1, 2**21 - 1], [2**20 - 1, 0, 0],
+        ]
+        assert t.values.tolist() == [3.0, 2.0, 1.0]
+        p = t.permute_modes([2, 1, 0])
+        assert p.coords.tolist() == [
+            [0, 0, 2**20 - 1], [1, 0, 0], [2**21 - 1, 2**21 - 1, 0],
+        ]
+
     def test_empty(self):
         t = SparseTensor.empty((4, 5, 6))
         assert t.nnz == 0
@@ -193,6 +227,26 @@ def test_property_unfold_consistency(seed, mode):
     mat = np.zeros(shape2d)
     mat[rows, cols] = t.values
     assert np.allclose(mat, unfold_dense(t.to_dense(), mode))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_permute_matches_lexsort(data):
+    shape = tuple(data.draw(st.lists(st.integers(1, 1000), min_size=1, max_size=4)))
+    order = data.draw(st.permutations(range(len(shape))))
+    cells = data.draw(st.lists(
+        st.tuples(*[st.integers(0, s - 1) for s in shape]), max_size=60
+    ))
+    coords = np.array(cells, dtype=np.int64).reshape(-1, len(shape))
+    t = SparseTensor(shape, coords, np.arange(1.0, len(cells) + 1))
+    p = t.permute_modes(order)
+    # The reference: a lexsort of the permuted coordinates, whose keys run
+    # last to first.
+    moved = t.coords[:, list(order)]
+    ref = np.lexsort(moved.T[::-1])
+    assert p.shape == tuple(shape[m] for m in order)
+    assert np.array_equal(p.coords, moved[ref])
+    assert np.array_equal(p.values, t.values[ref])
 
 
 class TestNonFiniteRejection:
