@@ -292,9 +292,9 @@ class Tensaurus:
         mode): the timing path tiles its coordinates and the functional
         kernel walks its fibers, so CP-ALS builds each mode's plan once
         across all sweeps. ``fp`` is this launch's content fingerprint,
-        recomputed per launch, so a mutated operand misses. It covers the
-        nonzeros only; the plan also carries the declared shape, so the
-        shape is part of the key."""
+        checked against the operand's bytes on every launch, so a mutated
+        operand misses. It covers the nonzeros only; the plan also carries
+        the declared shape, so the shape is part of the key."""
         if fp is None:
             return fiber_plan(tensor, mode)
         return self._cache.get(
@@ -594,7 +594,9 @@ class Tensaurus:
         else:
             lanes = cfg.rows
         fp = (
-            fingerprint_arrays(tensor.coords, tensor.values)
+            self._cache.operand_fingerprint(
+                (tensor.coords, tensor.values), fingerprint_arrays
+            )
             if self._cache.enabled
             else None
         )
@@ -762,7 +764,9 @@ class Tensaurus:
         dims = coo.shape
         ncols = dense_operand.shape[1] if kernel == "spmm" else 1
         fp = (
-            fingerprint_arrays(coo.rows, coo.cols, coo.vals)
+            self._cache.operand_fingerprint(
+                (coo.rows, coo.cols, coo.vals), fingerprint_arrays
+            )
             if self._cache.enabled
             else None
         )

@@ -24,7 +24,8 @@ the tile-sorted coordinate stream:
   the three MTTKRPs per CP-ALS iteration, the two ``_resolve_msu_mode``
   candidate plans, design-space sweeps and benchmark reruns — reuse fiber
   plans, tile partitions and lane statistics instead of re-running sorts
-  and the greedy deal.
+  and the greedy deal. A returning operand's fingerprint is verified
+  against the bytes it was computed from instead of being hashed again.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ def fingerprint_arrays(*arrays: np.ndarray) -> bytes:
         h.update(np.array(a.shape, dtype=np.int64).tobytes())
         h.update(a.tobytes())
     return h.digest()
+
+
+def _raw_bytes(a: np.ndarray) -> np.ndarray:
+    """The array's C-order bytes as a flat ``uint8`` view (a copy only
+    when ``a`` is not contiguous), so comparing them is exact where float
+    equality is not (``-0.0 == 0.0``, ``nan != nan``)."""
+    return np.ascontiguousarray(a).reshape(-1).view(np.uint8)
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +436,9 @@ class EncodingCache:
     ``"tile-stats"``); the operand component is a content fingerprint from
     :func:`fingerprint_arrays` plus the operand's shape (the fingerprint
     covers the nonzeros only), so a structurally different operand can
-    never alias a stale entry. ``max_entries == 0`` disables caching.
+    never alias a stale entry. ``"operand"`` entries memoize those
+    fingerprints (:meth:`operand_fingerprint`). ``max_entries == 0``
+    disables caching.
     """
 
     def __init__(self, max_entries: int = 64) -> None:
@@ -460,10 +470,45 @@ class EncodingCache:
         self.misses += 1
         self._observe("miss")
         value = builder()
+        self._put(key, value)
+        return value
+
+    def operand_fingerprint(
+        self,
+        arrays: Tuple[np.ndarray, ...],
+        digest: Callable[..., bytes],
+    ) -> bytes:
+        """``digest(*arrays)``, recomputed only when the arrays changed.
+
+        The entry, keyed by the arrays' ids, keeps each array's dtype,
+        shape and a copy of the bytes last digested, plus the digest. If
+        every array still has that dtype, shape and those bytes, the kept
+        digest is returned; otherwise ``digest`` runs and the entry is
+        replaced. The check is exact: equal bytes give an equal digest,
+        and the ids only find the candidate, so a reused id either fails
+        the byte check or carries the same bytes. It is not an encoding
+        lookup, so it counts as neither a hit nor a miss.
+        """
+        key = ("operand",) + tuple(id(a) for a in arrays)
+        kept = self._data.get(key)
+        if kept is not None and all(
+            k.dtype == a.dtype and k.shape == a.shape
+            and np.array_equal(_raw_bytes(k), _raw_bytes(a))
+            for k, a in zip(kept[0], arrays)
+        ):
+            self._data.move_to_end(key)
+            return kept[1]
+        fp = digest(*arrays)
+        self._put(key, (tuple(a.copy() for a in arrays), fp))
+        return fp
+
+    def _put(self, key: tuple, value: object) -> None:
+        """Store ``value`` as the most recent entry and evict down to
+        ``max_entries``."""
         self._data[key] = value
+        self._data.move_to_end(key)
         while len(self._data) > self.max_entries:
             self._data.popitem(last=False)
-        return value
 
     @staticmethod
     def _observe(event: str) -> None:

@@ -6,11 +6,30 @@ import pytest
 
 from repro.factorization.accelerated import accelerated_cp_als
 from repro.sim import EncodingCache, Tensaurus, TensaurusConfig, fingerprint_arrays
+from repro.sim import accelerator as accelerator_mod
 from repro.util.errors import ConfigError
 from repro.util.rng import make_rng
 
 from tests.conftest import random_tensor
 from tests.test_perfmodel_agreement import report_fields
+
+
+def counting_digest():
+    """``fingerprint_arrays`` and the list of the calls it answered."""
+    hashed = []
+
+    def digest(*arrays):
+        hashed.append(len(arrays))
+        return fingerprint_arrays(*arrays)
+
+    return digest, hashed
+
+
+def count_fingerprints(monkeypatch):
+    """Record every digest the accelerator computes for an operand."""
+    digest, hashed = counting_digest()
+    monkeypatch.setattr(accelerator_mod, "fingerprint_arrays", digest)
+    return hashed
 
 
 class TestEncodingCacheUnit:
@@ -58,6 +77,28 @@ class TestEncodingCacheUnit:
         with pytest.raises(ConfigError):
             TensaurusConfig(encoding_cache_entries=-1)
 
+    def test_operand_fingerprint_rehashes_only_changed_operands(self):
+        cache = EncodingCache(max_entries=4)
+        digest, hashed = counting_digest()
+        a = np.zeros(4)
+        first = cache.operand_fingerprint((a,), digest)
+        assert cache.operand_fingerprint((a,), digest) == first
+        assert len(hashed) == 1
+        # Every edit keeps the array's id.
+        a[0] = -0.0  # equal to 0.0 as a float, not in bytes
+        signed = cache.operand_fingerprint((a,), digest)
+        a.shape = (2, 2)  # same bytes, new shape
+        reshaped = cache.operand_fingerprint((a,), digest)
+        a.dtype = np.int64  # same bytes, new dtype
+        retyped = cache.operand_fingerprint((a,), digest)
+        assert len(hashed) == 4
+        assert len({first, signed, reshaped, retyped}) == 4
+        assert retyped == fingerprint_arrays(a)
+        # Not an encoding lookup: one resident entry, no hit or miss.
+        assert cache.info() == {
+            "hits": 0, "misses": 0, "entries": 1, "max_entries": 4,
+        }
+
     def test_fingerprint_distinguishes_content_shape_dtype(self):
         a = np.arange(6, dtype=np.int64)
         assert fingerprint_arrays(a) == fingerprint_arrays(a.copy())
@@ -100,10 +141,11 @@ class TestAcceleratorCache:
             fresh.run_mttkrp(t2, b, c, compute_output=False)
         )
 
-    def test_inplace_value_mutation_invalidates(self):
-        # Staleness: fingerprints cover the value arrays, so mutating a
-        # tensor's values in place (same structure, same object identity)
-        # must miss the cache, never serve the stale encoding.
+    @pytest.mark.parametrize("field", ["values", "coords"])
+    def test_inplace_value_mutation_invalidates(self, field):
+        # Staleness: fingerprints cover the coordinate and value arrays, so
+        # mutating either in place (same object identity) must miss the
+        # cache, never serve the stale encoding.
         acc = Tensaurus()
         rng = make_rng(21)
         t = random_tensor(shape=(30, 20, 15), density=0.1, seed=20)
@@ -112,9 +154,14 @@ class TestAcceleratorCache:
         info = acc.cache_info()
         # The public array is read-only; force the mutation the way buggy
         # caller code could, bypassing the immutability guard.
-        t.values.flags.writeable = True
-        t.values[0] *= 2.0
-        t.values.flags.writeable = False
+        arr = getattr(t, field)
+        arr.flags.writeable = True
+        if field == "values":
+            arr[0] *= 2.0
+        else:
+            # The last nonzero moves to the last cell: still canonical.
+            arr[-1] = np.array(t.shape) - 1
+        arr.flags.writeable = False
         acc.run_mttkrp(t, b, c, compute_output=False)
         assert acc.cache_info()["misses"] > info["misses"]
 
@@ -158,6 +205,19 @@ class TestAcceleratorCache:
             "max_entries": acc.config.encoding_cache_entries,
         }
 
+    def test_clear_cache_hashes_again(self, monkeypatch):
+        hashed = count_fingerprints(monkeypatch)
+        acc = Tensaurus()
+        rng = make_rng(12)
+        t = random_tensor(shape=(20, 15, 10), density=0.15, seed=8)
+        b, c = rng.random((15, 8)), rng.random((10, 8))
+        for _ in range(2):
+            acc.run_mttkrp(t, b, c, compute_output=False)
+        assert len(hashed) == 1
+        acc.clear_cache()
+        acc.run_mttkrp(t, b, c, compute_output=False)
+        assert len(hashed) == 2
+
     def test_eviction_bounds_residency(self):
         acc = Tensaurus(TensaurusConfig(encoding_cache_entries=2))
         rng = make_rng(11)
@@ -169,6 +229,13 @@ class TestAcceleratorCache:
 
 
 class TestFactorizationCacheInfo:
+    def test_cp_als_hashes_its_operand_once(self, monkeypatch):
+        hashed = count_fingerprints(monkeypatch)
+        t = random_tensor(shape=(25, 20, 15), density=0.1, seed=12)
+        run = accelerated_cp_als(t, rank=6, num_iters=3, seed=1)
+        assert len(run.reports) == 9
+        assert len(hashed) == 1
+
     def test_cp_als_reuses_encodings(self):
         t = random_tensor(shape=(25, 20, 15), density=0.1, seed=12)
         run = accelerated_cp_als(t, rank=6, num_iters=3, seed=1)

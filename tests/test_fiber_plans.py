@@ -297,9 +297,9 @@ class TestAcceleratorPlanCache:
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_inplace_mutation_output_matches_fresh(self, mode):
-        # The fingerprint is taken per launch, so a forced in-place edit of
-        # the values misses the cached plan instead of serving its stale
-        # permuted copy.
+        # The operand's bytes are checked per launch, so a forced in-place
+        # edit of the values misses the cached plan instead of serving its
+        # stale permuted copy.
         t = random_tensor(shape=(30, 20, 15), density=0.1, seed=20)
         b, c = factors_for(t, mode, (8, 8), 21)
         acc = Tensaurus()
