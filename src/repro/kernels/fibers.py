@@ -222,20 +222,6 @@ def check_plan(plan: FiberPlan, tensor: SparseTensor, mode: int) -> None:
         )
 
 
-#: Rows per block of :func:`rank_major_rows`: a block and its transpose
-#: stay in cache, where one whole-array transpose would not.
-_CHUNK = 2048
-
-
-def rank_major_rows(mat: np.ndarray, rows: np.ndarray):
-    """Yield ``(part, mat[rows[part], :].T)`` over consecutive blocks of
-    ``rows``: the gathered rows rank-major, one cache-sized block at a
-    time, without transposing all of ``mat``."""
-    for lo in range(0, rows.shape[0], _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        yield part, mat[rows[part]].T
-
-
 def fiber_sums(plan: FiberPlan, mat_c: np.ndarray) -> np.ndarray:
     """TSR: ``sum_k a * C(k,:)`` over each fiber, one row per fiber.
 

@@ -25,7 +25,6 @@ from repro.kernels.fibers import (
     check_plan,
     fiber_plan,
     fiber_sums,
-    rank_major_rows,
     scatter_rows,
 )
 from repro.kernels.linalg import khatri_rao
@@ -137,8 +136,7 @@ def mttkrp_sparse_factored(
         check_plan(plan, tensor, mode)
     tsr = fiber_sums(plan, mat_c).T  # (F, fibers)
     # OSR phase: Hadamard with B(j,:) and accumulate per slice i.
-    for part, b_rows in rank_major_rows(mat_b, plan.fiber_j):
-        tsr[:, part] *= b_rows
+    tsr *= mat_b.T.take(plan.fiber_j, axis=1)
     return scatter_rows(plan.fiber_i, tsr.T, plan.shape[0])
 
 

@@ -22,7 +22,6 @@ from repro.kernels.fibers import (
     check_plan,
     fiber_plan,
     fiber_sums,
-    rank_major_rows,
     scatter_rows,
 )
 from repro.tensor import SparseTensor
@@ -141,10 +140,8 @@ def ttmc_sparse_factored(
     num_rows = plan.shape[0]
     f1, f2 = mat_b.shape[1], mat_c.shape[1]
     tsr = fiber_sums(plan, mat_c).T  # (F2, fibers)
-    outer = np.empty((f1, f2, tsr.shape[1]))  # B(j,:) ⊗ TSR per fiber
-    for part, b_rows in rank_major_rows(mat_b, plan.fiber_j):
-        np.multiply(b_rows[:, None, :], tsr[None, :, part],
-                    out=outer[:, :, part])
+    b_rows = mat_b.T.take(plan.fiber_j, axis=1)  # (F1, fibers)
+    outer = b_rows[:, None, :] * tsr[None, :, :]  # B(j,:) ⊗ TSR per fiber
     flat = scatter_rows(plan.fiber_i, outer.reshape(f1 * f2, -1).T, num_rows)
     return flat.reshape(num_rows, f1, f2)
 
