@@ -11,8 +11,8 @@ mode across ALS sweeps — the way SPLATT keeps one compressed layout per
 mode.
 
 :func:`fiber_sums` (TSR) and :func:`scatter_rows` (OSR) are the two
-accumulations both kernels share. Both work rank-major, one contiguous row
-of fibers per rank column, so that every numpy call streams over fibers.
+accumulations both kernels share. Both work row-major, as the accelerator
+streams whole factor rows ``C(k,:)`` and ``B(j,:)`` into whole output rows.
 """
 
 from __future__ import annotations
@@ -83,15 +83,17 @@ class TSRSchedule:
     one per fiber, or, for a longer fiber, the leaves of numpy's split.
     Segments sit in slots sorted by length, longest first, so the ``q``-th
     terms of all segments that have one are the slots ``[0, at_least[q+1])``.
-    ``at_least[x]`` counts the segments with at least ``x`` terms.
-    ``order`` lists every record after a head once: one contiguous block
+    ``at_least[x]`` counts the segments with at least ``x`` terms. ``k``
+    and ``values`` hold every record's mode-2 index and value: the fiber
+    heads, then every record after a head once, in one contiguous block
     per ``q`` of those slots' ``q``-th terms. The slots in ``slots`` end up
     holding the pairwise sum of the fibers ``fibers``; each level of
     ``merges`` adds the sum in the right slots into the left ones, which
     rebuilds a split fiber's sum from its leaves.
     """
 
-    order: np.ndarray
+    k: np.ndarray
+    values: np.ndarray
     at_least: Tuple[int, ...]
     slots: np.ndarray
     fibers: np.ndarray
@@ -154,11 +156,10 @@ def tsr_schedule(plan: FiberPlan) -> TSRSchedule:
     first = first[by_length]
     counts = np.bincount(size, minlength=_BLOCK + _LANES + 1)
     at_least = tuple(np.cumsum(counts[::-1])[::-1].tolist())
-    # Block q: the q-th term of every slot that has one (at least block 0,
-    # empty when no fiber has more than its head).
-    order = np.concatenate(
-        [first[: at_least[q + 1]] + q for q in range(size.max(initial=1))]
-    )
+    # The fiber heads, then block q: the q-th term of every slot that has one.
+    records = np.concatenate([starts] + [
+        first[: at_least[q + 1]] + q for q in range(size.max(initial=0))
+    ])
     # Merge levels, lowest first; the merges of one level touch disjoint
     # slots, so each level is one vectorized add.
     merges = []
@@ -166,8 +167,11 @@ def tsr_schedule(plan: FiberPlan) -> TSRSchedule:
         pairs = [(a, b) for h, a, b in merge_parts if h == level]
         left, right = (slot_of[np.concatenate(side)] for side in zip(*pairs))
         merges.append((_index(left, base), _index(right, base)))
+    values = plan.values[records]
+    values.setflags(write=False)
     return TSRSchedule(
-        order=_index(order, plan.nnz),
+        k=_index(plan.coords[records, 2], plan.shape[2]),
+        values=values,
         at_least=at_least,
         slots=_index(slot_of[np.concatenate(roots)], base),
         fibers=_index(np.concatenate(root_fibers), starts.size),
@@ -226,53 +230,47 @@ def fiber_sums(plan: FiberPlan, mat_c: np.ndarray) -> np.ndarray:
     """TSR: ``sum_k a * C(k,:)`` over each fiber, one row per fiber.
 
     Bit-identical to ``np.add.reduceat`` over the fibers' records, which
-    runs one inner loop per (fiber, column). This scales every record once,
-    in the step-major order of the plan's :class:`TSRSchedule`, and then
-    sums in place with one or two slice adds per term position. The result
-    is rank-major: a view of that one scaled buffer.
+    runs one inner loop per (fiber, column). This gathers and scales every
+    record's ``C(k,:)`` row once, in the step-major order of the plan's
+    :class:`TSRSchedule`, then sums whole rows in place with one or two slice
+    adds per term position, and returns the C-contiguous head rows.
     """
-    rank = mat_c.shape[1]
-    if plan.nnz == 0:
-        return np.zeros((rank, 0), dtype=np.float64).T
     sched = plan.schedule
-    mat_t = np.ascontiguousarray(mat_c.T)
     # Every record scaled once, into one buffer: the fiber heads, then
     # block q of the schedule, each slot's q-th term.
-    records = np.concatenate((plan.starts, sched.order))
-    scaled = np.take(mat_t, plan.coords[:, 2][records], axis=1)
-    scaled *= plan.values[records]
-    del records  # the sums below need only the scaled buffer
-    tsr = scaled[:, : plan.starts.size]
-    terms = scaled[:, plan.starts.size:]
+    scaled = mat_c.take(sched.k, axis=0)
+    scaled *= sched.values[:, None]
+    tsr = scaled[: plan.starts.size]
+    terms = scaled[plan.starts.size:]
     at_least = sched.at_least
     off = list(accumulate(at_least[1:], initial=0))
     # Block 0 becomes each slot's running sum. The slots with at least 8
     # terms (the first at_least[8]) keep r0..r7 in blocks 0..7.
-    seq = terms[:, : at_least[1]]
-    lanes = [terms[:, off[j]:off[j] + at_least[_LANES]] for j in range(_LANES)]
+    seq = terms[: at_least[1]]
+    lanes = [terms[off[j]:off[j] + at_least[_LANES]] for j in range(_LANES)]
     for q in range(1, _BLOCK + 1):
         if q % _LANES == 0:
             # Slots with q..q+7 terms have filled their accumulators:
             # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), in place into r0, which
             # is their running sum.
             lo, hi = at_least[q + _LANES], at_least[q]
-            r = [lane[:, lo:hi] for lane in lanes]
+            r = [lane[lo:hi] for lane in lanes]
             for left, right in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7),
                                 (4, 6), (0, 4)):
                 r[left] += r[right]
         m = at_least[q + 1]
         if m == 0:
             break
-        step = terms[:, off[q]:off[q] + m]
+        step = terms[off[q]:off[q] + m]
         # Slots [0, a) still fill accumulators; [a, m) add in order.
         a = at_least[_LANES * (q // _LANES + 1)]
         if q >= _LANES:
-            lanes[q % _LANES][:, :a] += step[:, :a]
-        seq[:, a:m] += step[:, a:m]
+            lanes[q % _LANES][:a] += step[:a]
+        seq[a:m] += step[a:m]
     for left, right in sched.merges:
-        seq[:, left] += seq[:, right]
-    tsr[:, sched.fibers] += seq[:, sched.slots]
-    return tsr.T
+        seq[left] += seq[right]
+    tsr[sched.fibers] += seq[sched.slots]
+    return tsr
 
 
 def scatter_rows(
@@ -280,14 +278,14 @@ def scatter_rows(
 ) -> np.ndarray:
     """``out[rows[n], :] += contrib[n, :]`` over ``n`` in order, from zero.
 
-    The OSR accumulation: one ``np.bincount`` per output column. Each
-    bincount adds its weights in input order starting from 0.0, exactly
-    as ``np.add.at`` into a zeroed output does, so the result is
-    bit-identical to that scatter. A rank-major ``contrib`` hands each
-    bincount a contiguous column; the sums are laid out rank-major too and
-    transposed once at the end.
+    The OSR accumulation: one ``np.bincount`` over the flattened ``(row,
+    column)`` cell of every entry of a row-major ``contrib``. bincount adds
+    its weights in input order starting from 0.0, so each cell sums its
+    rows in order, exactly as ``np.add.at`` into a zeroed output does, and
+    the result is bit-identical to that scatter.
     """
-    out = np.empty((contrib.shape[1], num_rows), dtype=np.float64)
-    for f, column in enumerate(out):
-        column[:] = np.bincount(rows, weights=contrib[:, f], minlength=num_rows)
-    return np.ascontiguousarray(out.T)
+    width = contrib.shape[1]
+    cells = (rows * width)[:, None] + np.arange(width)
+    sums = np.bincount(cells.ravel(), contrib.ravel(), num_rows * width)
+    # bincount returns int64 zeros when it has no weights at all.
+    return sums.reshape(num_rows, width).astype(np.float64, copy=False)

@@ -134,10 +134,10 @@ def mttkrp_sparse_factored(
         plan = fiber_plan(tensor, mode)
     else:
         check_plan(plan, tensor, mode)
-    tsr = fiber_sums(plan, mat_c).T  # (F, fibers)
+    tsr = fiber_sums(plan, mat_c)  # (fibers, F)
     # OSR phase: Hadamard with B(j,:) and accumulate per slice i.
-    tsr *= mat_b.T.take(plan.fiber_j, axis=1)
-    return scatter_rows(plan.fiber_i, tsr.T, plan.shape[0])
+    tsr *= mat_b.take(plan.fiber_j, axis=0)
+    return scatter_rows(plan.fiber_i, tsr, plan.shape[0])
 
 
 def mttkrp_flops(

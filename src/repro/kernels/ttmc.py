@@ -138,12 +138,14 @@ def ttmc_sparse_factored(
     else:
         check_plan(plan, tensor, mode)
     num_rows = plan.shape[0]
-    f1, f2 = mat_b.shape[1], mat_c.shape[1]
-    tsr = fiber_sums(plan, mat_c).T  # (F2, fibers)
-    b_rows = mat_b.T.take(plan.fiber_j, axis=1)  # (F1, fibers)
-    outer = b_rows[:, None, :] * tsr[None, :, :]  # B(j,:) ⊗ TSR per fiber
-    flat = scatter_rows(plan.fiber_i, outer.reshape(f1 * f2, -1).T, num_rows)
-    return flat.reshape(num_rows, f1, f2)
+    tsr = fiber_sums(plan, mat_c)  # (fibers, F2)
+    b_rows = mat_b.take(plan.fiber_j, axis=0)  # (fibers, F1)
+    out = np.empty((num_rows, b_rows.shape[1], tsr.shape[1]))
+    # One column of B(j,:) ⊗ TSR at a time, never the whole outer product.
+    for a in range(b_rows.shape[1]):
+        contrib = b_rows[:, a, None] * tsr
+        out[:, a] = scatter_rows(plan.fiber_i, contrib, num_rows)
+    return out
 
 
 def ttmc_flops(

@@ -190,16 +190,54 @@ class TestFiberPlan:
             bits(ttmc_sparse_factored(t, facs, mode)),
         )
 
-    def test_scatter_matches_add_at_bitwise(self):
+    @pytest.mark.parametrize("width", [1, 6, 64])
+    def test_scatter_matches_add_at_bitwise(self, width):
         rng = make_rng(8)
         rows = np.sort(rng.integers(0, 30, size=500))
-        contrib = rng.standard_normal((500, 6)) * 10.0 ** rng.integers(
+        rows[rows == 17] = 16  # output row 17 stays empty, as do 30..39
+        contrib = rng.standard_normal((500, width)) * 10.0 ** rng.integers(
             -12, 12, size=(500, 1)
         )
         contrib[::7] = -0.0
-        want = np.zeros((40, 6))
+        contrib[rows == 5] = -0.0  # output row 5 sums only -0.0 terms
+        want = np.zeros((40, width))
         np.add.at(want, rows, contrib)
-        assert np.array_equal(bits(scatter_rows(rows, contrib, 40)), bits(want))
+        got = scatter_rows(rows, contrib, 40)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_scatter_of_no_rows_is_float_zeros(self):
+        got = scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4)
+        assert got.dtype == np.float64
+        assert np.array_equal(bits(got), bits(np.zeros((4, 3))))
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_factor_layouts_give_identical_bytes(self, mode):
+        # The row gathers take another numpy path for each factor layout:
+        # C order, Fortran order and a strided column slice.
+        t = random_tensor(shape=(14, 11, 9), density=0.3, seed=80)
+        t = SparseTensor(
+            t.shape, t.coords, signed_values(make_rng(81), t.nnz),
+            canonical=True,
+        )
+
+        def layouts(mat):
+            wide = np.zeros((mat.shape[0], 2 * mat.shape[1]))
+            wide[:, 1::2] = mat
+            yield np.ascontiguousarray(mat)
+            yield np.asfortranarray(mat)
+            yield wide[:, 1::2]
+
+        for kernel, ranks in ((mttkrp_sparse_factored, (6, 6)),
+                              (ttmc_sparse_factored, (5, 7))):
+            b, c = factors_for(t, mode, ranks, 82)
+            b[0, 0], c[-1, -1] = -0.0, 0.0
+            outs = [
+                bits(kernel(t, [b_l, c_l], mode))
+                for b_l, c_l in zip(layouts(b), layouts(c))
+            ]
+            for out in outs[1:]:
+                assert np.array_equal(out, outs[0])
 
 
 def plan_arrays(plan):
@@ -239,12 +277,12 @@ class TestTSRSchedule:
         plan = fiber_plan(fibered_tensor([1, 5, 40, 300, 553], seed=70), 0)
         assert len(plan.schedule.merges) == 3
         arrays = plan_arrays(plan)
-        assert len(arrays) == 5 + 3 + 2 * 3
+        assert len(arrays) == 5 + 4 + 2 * 3
         for arr in arrays:
             assert not arr.flags.writeable
         # The cached plan is shared across launches: nothing may write it.
         with pytest.raises(ValueError):
-            plan.schedule.order[0] = 0
+            plan.schedule.k[0] = 0
 
     def test_built_once_per_plan(self, monkeypatch):
         built = counting_schedules(monkeypatch)

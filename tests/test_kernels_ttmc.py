@@ -1,5 +1,7 @@
 """Tests for all TTMc variants against einsum ground truth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,24 @@ class TestCorrectness3D:
         facs = [rng.random((3, 2)), rng.random((2, 2))]
         assert np.allclose(ttmc_sparse(t, facs, 0), 0.0)
         assert np.allclose(ttmc_sparse_factored(t, facs, 0), 0.0)
+
+
+class TestFactoredMemory:
+    def test_peak_stays_below_the_outer_product(self, rng):
+        # Few slices, thousands of fibers: the (fibers, F1·F2) outer product
+        # B(j,:) ⊗ TSR would outweigh the output and every per-fiber array.
+        t = random_tensor(shape=(8, 600, 40), density=0.05, seed=9)
+        facs = [rng.standard_normal((600, 16)), rng.standard_normal((40, 16))]
+        ttmc_sparse_factored(t, facs, 0)
+        fibers = len({(i, j) for i, j, _ in t.coords})
+        assert fibers > 3000
+        tracemalloc.start()
+        try:
+            ttmc_sparse_factored(t, facs, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 16 * fibers * 8
 
 
 class TestHigherDims:
