@@ -12,10 +12,11 @@ sentinel closes the loop:
 2. **Select** the headline figures via per-artifact rules
    (:data:`HEADLINES`): each rule is a path regex plus a direction —
    ``higher`` (speedups must not fall), ``lower`` (cycles/latency must
-   not rise), or ``gate`` (booleans must not flip off) — and a tolerance
-   band ``max(rel_tol·|baseline|, atol)`` so near-zero baselines (e.g.
-   a 0.004 disabled-overhead figure) get an absolute floor instead of a
-   meaningless relative one.
+   not rise), ``gate`` (booleans must not flip off), or ``same``
+   (digests and simulation counts must match exactly, strings included)
+   — and a tolerance band ``max(rel_tol·|baseline|, atol)`` so near-zero
+   baselines (e.g. a 0.004 disabled-overhead figure) get an absolute
+   floor instead of a meaningless relative one.
 3. **Compare** current artifacts against a committed baseline directory
    (by default the same files — a self-check that always passes on an
    untouched tree) and render a human-readable delta table; any metric
@@ -23,7 +24,8 @@ sentinel closes the loop:
    which is what turns a silent perf regression into a red CI job.
 
 Wall-clock-derived figures get wide bands (machines differ); cycle
-counts and determinism gates get none (the simulator is deterministic).
+counts, digests and determinism gates get none (the simulator is
+deterministic).
 """
 
 from __future__ import annotations
@@ -56,12 +58,12 @@ class Rule:
     """One headline selector: path regex + direction + tolerance band."""
 
     pattern: str
-    direction: str  # "higher" | "lower" | "gate"
+    direction: str  # "higher" | "lower" | "gate" | "same"
     rel_tol: float = 0.0
     atol: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.direction not in ("higher", "lower", "gate"):
+        if self.direction not in ("higher", "lower", "gate", "same"):
             raise ValueError(f"bad direction {self.direction!r}")
         if self.rel_tol < 0 or self.atol < 0:
             raise ValueError("tolerances must be non-negative")
@@ -75,7 +77,8 @@ class Rule:
 
 #: Headline figures per artifact stem. Wall-clock speedups carry wide
 #: relative bands; deterministic cycle counts carry none; boolean gates
-#: must simply never flip from True to False.
+#: must simply never flip from True to False; digests and simulation
+#: counts must stay exactly what they were.
 HEADLINES: Dict[str, Tuple[Rule, ...]] = {
     "BENCH_sim": (
         Rule(r"mttkrp\.cycles", "lower", 0.0),
@@ -103,6 +106,7 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
         Rule(r"affinity\.(deadline_hit_rate|cache_hit_rate)", "higher",
              0.02),
         Rule(r"affinity\.latency_p99_s", "lower", 0.50, 0.005),
+        Rule(r"obs\.slo_digest", "same"),
         Rule(r"(affinity_beats_random_p99|affinity_beats_random_cache"
              r"|chaos_shard_killed|chaos_zero_lost|chaos_exactly_once"
              r"|chaos_work_redealt|deterministic_replay)", "gate"),
@@ -111,6 +115,7 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
     ),
     "BENCH_chaos": (
         Rule(r"search\.violations", "lower", 0.0),
+        Rule(r"search\.digest", "same"),
         Rule(r"mutation\.ratio", "lower", 0.0),
         Rule(r"(search_zero_violations|all_invariants_checked"
              r"|replay_bit_identical|mutation_caught|shrink_ratio_ok"
@@ -126,6 +131,8 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
     "BENCH_tune": (
         Rule(r"kernels\.[^.]+\.speedup", "higher", 0.10),
         Rule(r"kernels\.[^.]+\.tuned_cycles", "lower", 0.0),
+        Rule(r"kernels\.[^.]+\.(trajectory_digest|oracle_sims"
+             r"|grid_extra_sims)", "same"),
         Rule(r"(improved_10pct_3_of_4|tuned_matches_grid_all"
              r"|oracle_savings_5x_all|deterministic_all)", "gate"),
     ),
@@ -135,9 +142,10 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
 def flatten(value: object, prefix: str = "") -> Dict[str, object]:
     """Normalize one artifact into ``dotted.path → scalar`` rows.
 
-    Only numbers and booleans survive (strings and nulls are config,
-    not figures). List elements are keyed by their name field when one
-    of :data:`_NAME_KEYS` is present, by position otherwise.
+    Numbers, booleans and strings survive (a ``same`` rule compares a
+    digest); nulls are dropped. List elements are keyed by their name
+    field when one of :data:`_NAME_KEYS` is present, by position
+    otherwise.
     """
     out: Dict[str, object] = {}
     if isinstance(value, dict):
@@ -154,7 +162,7 @@ def flatten(value: object, prefix: str = "") -> Dict[str, object]:
                         break
             sub = f"{prefix}.{key}" if prefix else key
             out.update(flatten(item, sub))
-    elif isinstance(value, bool) or isinstance(value, (int, float)):
+    elif isinstance(value, (bool, int, float, str)):
         out[prefix] = value
     return out
 
@@ -291,6 +299,12 @@ def compare(
                 report.missing_metrics.append((stem, path))
                 continue
             cur_value = current_flat[path]
+            if rule.direction == "same":
+                report.rows.append((
+                    stem, path, base_value, cur_value, 0.0, 0.0,
+                    "ok" if cur_value == base_value else "REGRESSED",
+                ))
+                continue
             if rule.direction == "gate":
                 passed = (not bool(base_value)) or bool(cur_value)
                 report.rows.append((

@@ -1,14 +1,16 @@
 """Tests for the benchmark regression sentinel (:mod:`repro.obs.sentinel`).
 
 Flattening of heterogeneous BENCH schemas, rule selection and tolerance
-bands, the comparison semantics (direction, gates, missing data), and the
-end-to-end contract: the committed artifacts self-check clean, and an
-injected regression in a fixture is flagged.
+bands, the comparison semantics (direction, gates, exact matches, missing
+data), and the end-to-end contract: the committed artifacts self-check
+clean, an injected regression in a fixture is flagged, and every
+committed headline figure regresses once it leaves its band.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.obs import sentinel
@@ -29,8 +31,9 @@ class TestFlatten:
         flat = flatten({"a": {"b": 1, "c": 2.5}, "d": True})
         assert flat == {"a.b": 1, "a.c": 2.5, "d": True}
 
-    def test_strings_and_nulls_dropped(self):
-        assert flatten({"a": "text", "b": None, "c": 3}) == {"c": 3}
+    def test_strings_kept_nulls_dropped(self):
+        flat = flatten({"a": "text", "b": None, "c": 3})
+        assert flat == {"a": "text", "c": 3}
 
     def test_lists_keyed_by_name_field(self):
         flat = flatten({"tensors": [
@@ -39,7 +42,9 @@ class TestFlatten:
         ]})
         assert flat == {
             "tensors.nell-2.speedup": 2.0,
+            "tensors.nell-2.tensor": "nell-2",
             "tensors.poisson_3D.speedup": 3.0,
+            "tensors.poisson_3D.tensor": "poisson.3D",
         }
 
     def test_lists_fall_back_to_index(self):
@@ -125,6 +130,15 @@ class TestCompare:
             report.missing_metrics
         )
 
+    def test_same_rule_matches_exactly(self):
+        rules = {"BENCH_chaos": (Rule(r"search\.(digest|sims)", "same"),)}
+        base = {"BENCH_chaos": {"search": {"digest": "4609bf83", "sims": 41}}}
+        assert compare(base, base, rules).ok
+        for digest, sims in (("4609bf84", 41), ("4609bf83", 42)):
+            cur = {"BENCH_chaos": {"search": {"digest": digest, "sims": sims}}}
+            report = compare(base, cur, rules)
+            assert len(report.regressions) == 1
+
     def test_render_and_json(self):
         report = compare(self.BASE, self.BASE)
         text = report.render()
@@ -181,3 +195,63 @@ class TestRepoArtifacts:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             sentinel.run(str(tmp_path))
+
+
+def just_past(value, rule):
+    """``value`` moved just outside ``rule``'s band: a gate flipped, a
+    digest or count altered, a figure one ulp beyond its tolerance."""
+    if rule.direction == "gate":
+        return not value
+    if rule.direction == "same":
+        return value + "0" if isinstance(value, str) else value + 1
+    return float(np.nextafter(band_edge(value, rule),
+                              -np.inf if rule.direction == "higher" else np.inf))
+
+
+def band_edge(value, rule):
+    """The last value ``rule`` still accepts against ``value``."""
+    base = float(value)
+    if rule.direction == "higher":
+        return base - rule.band(base)
+    return base + rule.band(base)
+
+
+class TestEveryHeadlineCanFail:
+    """Each committed headline figure regresses just past its band and
+    passes at its edge, so no rule is a gate that cannot fail. The
+    artifacts are compared in their flattened form, which flattens to
+    itself."""
+
+    def figures(self):
+        artifacts = collect_artifacts(str(REPO_ROOT))
+        flat = {stem: flatten(a) for stem, a in artifacts.items()}
+        return flat, collect_figures(artifacts)
+
+    def regressed(self, base, stem, path, value):
+        current = dict(base)
+        current[stem] = {**base[stem], path: value}
+        report = compare(base, current)
+        assert not report.missing_artifacts and not report.missing_metrics
+        return {(r[0], r[1]) for r in report.regressions}
+
+    def test_every_figure_regresses_just_past_its_band(self):
+        flat, figures = self.figures()
+        exact = set()
+        for stem, selected in figures.items():
+            for path, (value, rule) in selected.items():
+                if rule.direction == "gate":
+                    assert value is True, f"{stem}:{path} cannot fail"
+                if rule.direction == "same":
+                    exact.add((stem, path))
+                got = self.regressed(flat, stem, path, just_past(value, rule))
+                assert got == {(stem, path)}, (stem, path, value)
+                if rule.direction in ("higher", "lower"):
+                    edge = band_edge(value, rule)
+                    assert not self.regressed(flat, stem, path, edge)
+        # Digests and simulation counts are figures too, compared exactly.
+        assert exact == {
+            ("BENCH_tune", f"kernels.{kernel}.{field}")
+            for kernel in ("mttkrp", "ttmc", "spmm", "spmv")
+            for field in ("trajectory_digest", "oracle_sims",
+                          "grid_extra_sims")
+        } | {("BENCH_chaos", "search.digest"), ("BENCH_fleet", "obs.slo_digest")}
