@@ -1,8 +1,10 @@
 """Frozen digests of the factored sparse tensor kernels and their launches.
 
 The constants were computed before the accelerator learned to cache one
-fiber plan per (operand, mode) and before the OSR scatter became a
-per-column ``np.bincount``. A match proves both changes are exact:
+fiber plan per (operand, mode), before the OSR scatter became a
+per-column ``np.bincount``, and before the kernels went row-major (one
+row gather of ``C`` and of ``B``, one flat ``np.bincount`` per OSR). A
+match proves all three changes are exact:
 
 - ``KERNEL_GOLDEN`` hashes the output bytes of ``mttkrp_sparse_factored``
   and ``ttmc_sparse_factored`` for every mode of two seeded Zipf-skewed
