@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.kernels.spec import KernelSpec, kernel_spec
 from repro.tensor import SparseTensor
 from repro.util.arrays import count_distinct
 from repro.util.errors import KernelError
@@ -35,35 +36,34 @@ class WorkloadStats:
     dense: bool
 
     @property
+    def spec(self) -> KernelSpec:
+        """The kernel's family in the kernel table."""
+        return kernel_spec(self.kernel)
+
+    @property
     def ops(self) -> int:
         """Algorithmic operation count (operand-factored forms)."""
-        if self.kernel in ("mttkrp",):
-            return 2 * self.nnz * self.rank + 2 * self.fibers * self.rank
-        if self.kernel in ("ttmc",):
-            return 2 * self.nnz * self.rank2 + 2 * self.fibers * self.rank * self.rank2
-        if self.kernel in ("spmm", "gemm"):
-            return 2 * self.nnz * self.rank
-        if self.kernel in ("spmv", "gemv"):
-            return 2 * self.nnz
-        raise KernelError(f"unknown kernel {self.kernel!r}")
+        return self.spec.ops(self.nnz, self.fibers, self.rank, self.rank2)
 
     @property
     def factor_bytes(self) -> int:
         """Bytes of the dense operand matrices (one full read)."""
-        if self.kernel == "mttkrp":
+        name = self.spec.name
+        if name == "mttkrp":
             return (self.dims[1] + self.dims[2]) * self.rank * 4
-        if self.kernel == "ttmc":
+        if name == "ttmc":
             return (self.dims[1] * self.rank + self.dims[2] * self.rank2) * 4
-        if self.kernel in ("spmm", "gemm"):
+        if name == "spmm":
             return self.dims[1] * self.rank * 4
         return self.dims[1] * 4
 
     @property
     def output_bytes(self) -> int:
         """Bytes of one full output write."""
-        if self.kernel == "ttmc":
+        name = self.spec.name
+        if name == "ttmc":
             return self.out_rows * self.rank * self.rank2 * 4
-        if self.kernel in ("spmv", "gemv"):
+        if name == "spmv":
             return self.out_rows * 4
         return self.out_rows * self.rank * 4
 
@@ -102,13 +102,14 @@ def tensor_workload(
     mode: int = 0,
     store=None,
 ) -> WorkloadStats:
-    """Build stats for MTTKRP (``rank``) or TTMc (``rank``, ``rank2``).
+    """Build stats for MTTKRP (``rank``) or TTMc (``rank``, ``rank2``),
+    named by any name of the family.
 
     ``store`` (an :class:`repro.artifacts.ArtifactStore`) memoizes the
     extraction — the unique-fiber scan is the expensive part — keyed on the
     operand's content fingerprint and the arguments.
     """
-    if kernel not in ("mttkrp", "ttmc"):
+    if kernel_spec(kernel).order != 3:
         raise KernelError(f"tensor_workload got {kernel!r}")
     if store is not None:
         return store.get(
@@ -154,11 +155,12 @@ def matrix_workload(
     ncols: int = 1,
     store=None,
 ) -> WorkloadStats:
-    """Build stats for SpMM/GEMM (``ncols``) or SpMV/GEMV.
+    """Build stats for SpMM/GEMM (``ncols``) or SpMV/GEMV, named by any
+    name of the family.
 
     ``store`` memoizes the extraction like :func:`tensor_workload`.
     """
-    if kernel not in ("spmm", "gemm", "spmv", "gemv"):
+    if kernel_spec(kernel).order != 2:
         raise KernelError(f"matrix_workload got {kernel!r}")
     if store is not None:
         return store.get(

@@ -45,7 +45,7 @@ class CambriconXBaseline:
 
     def run(self, stats: WorkloadStats) -> BaselineResult:
         """Estimate SpMM/SpMV (the kernels Cambricon-X supports)."""
-        if stats.kernel not in ("spmm", "gemm", "spmv", "gemv"):
+        if stats.spec.order != 2:
             raise KernelError("Cambricon-X accelerates matrix kernels only")
         padded = self._padded_nnz(stats)
         ncols_out = max(1, stats.rank)

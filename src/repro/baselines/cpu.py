@@ -46,15 +46,8 @@ class CPUBaseline:
 
     def run(self, stats: WorkloadStats) -> BaselineResult:
         """Estimate one kernel's runtime and energy on the CPU."""
-        kernel = stats.kernel if not stats.dense else {
-            "mttkrp": "dmttkrp",
-            "ttmc": "dttmc",
-            "spmm": "gemm",
-            "spmv": "gemv",
-            "gemm": "gemm",
-            "gemv": "gemv",
-        }.get(stats.kernel, stats.kernel)
-        eff = self.efficiency[kernel]
+        spec = stats.spec
+        eff = self.efficiency[spec.dense if stats.dense else spec.name]
         ops = stats.ops
         compute_s = ops / (self.peak_gflops * 1.0e9 * eff)
         bytes_moved = self._traffic(stats)

@@ -48,15 +48,8 @@ class GPUBaseline:
     )
 
     def run(self, stats: WorkloadStats) -> BaselineResult:
-        kernel = stats.kernel if not stats.dense else {
-            "mttkrp": "dmttkrp",
-            "ttmc": "dttmc",
-            "spmm": "gemm",
-            "spmv": "gemv",
-            "gemm": "gemm",
-            "gemv": "gemv",
-        }.get(stats.kernel, stats.kernel)
-        flop_eff, bw_eff = self.efficiency[kernel]
+        spec = stats.spec
+        flop_eff, bw_eff = self.efficiency[spec.dense if stats.dense else spec.name]
         ops = stats.ops
         bytes_moved = self._traffic(stats)
         compute_s = ops / (self.peak_gflops * 1.0e9 * flop_eff)

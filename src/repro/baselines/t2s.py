@@ -18,12 +18,12 @@ from typing import Dict
 from repro.baselines.base import BaselineResult, WorkloadStats
 from repro.util.errors import KernelError
 
-#: Table 6 throughputs (GOP/s) of the scaled T2S-Tensor designs.
+#: Table 6 throughputs (GOP/s) of the scaled T2S-Tensor designs, keyed
+#: by dense kernel name.
 T2S_THROUGHPUT_GOPS: Dict[str, float] = {
-    "mttkrp": 986.3,
-    "ttmc": 926.6,
+    "dmttkrp": 986.3,
+    "dttmc": 926.6,
     "gemm": 1019.8,
-    "spmm": 1019.8,  # dense ndarray operands route through gemm
 }
 
 
@@ -40,9 +40,10 @@ class T2SBaseline:
     def run(self, stats: WorkloadStats) -> BaselineResult:
         if not stats.dense:
             raise KernelError("T2S-Tensor supports dense kernels only")
-        if stats.kernel not in self.throughput:
-            raise KernelError(f"T2S-Tensor does not implement {stats.kernel!r}")
-        gops = self.throughput[stats.kernel]
+        kernel = stats.spec.dense
+        if kernel not in self.throughput:
+            raise KernelError(f"T2S-Tensor does not implement {kernel!r}")
+        gops = self.throughput[kernel]
         time_s = stats.ops / (gops * 1.0e9)
         return BaselineResult(
             platform="t2s-tensor",

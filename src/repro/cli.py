@@ -51,11 +51,12 @@ from repro import datasets
 from repro.analysis import RooflinePoint, ascii_roofline, format_table
 from repro.baselines import CPUBaseline, GPUBaseline, matrix_workload, tensor_workload
 from repro.energy import accelerator_energy
+from repro.kernels.spec import KERNELS, kernel_spec
 from repro.sim import Tensaurus, TensaurusConfig
-from repro.util.rng import make_rng
+from repro.tune.workload import synthetic_launch
 
-TENSOR_KERNELS = ("spmttkrp", "spttmc")
-MATRIX_KERNELS = ("spmm", "spmv")
+#: The sparse kernels the commands take, in kernel-table order.
+KERNEL_CHOICES = tuple(spec.sparse for spec in KERNELS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="print the accelerator design point")
 
     run = sub.add_parser("run", help="run one kernel on one dataset")
-    run.add_argument("kernel", choices=TENSOR_KERNELS + MATRIX_KERNELS)
+    run.add_argument("kernel", choices=KERNEL_CHOICES)
     run.add_argument("dataset", help="a registered dataset name")
     run.add_argument("--mode", type=int, default=0, help="tensor target mode")
     run.add_argument("--rank", type=int, default=32, help="F / F1=F2 / N")
@@ -78,14 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     roof = sub.add_parser("roofline", help="ASCII roofline across datasets")
-    roof.add_argument("kernel", choices=TENSOR_KERNELS)
+    roof.add_argument(
+        "kernel", choices=[s.sparse for s in KERNELS if s.order == 3]
+    )
     roof.add_argument("--rank", type=int, default=32)
 
     trace = sub.add_parser(
         "trace", help="run a kernel with tracing on; export Chrome trace JSON"
     )
     trace.add_argument(
-        "kernel", choices=TENSOR_KERNELS + MATRIX_KERNELS + ("cp-als",)
+        "kernel", choices=KERNEL_CHOICES + ("cp-als",)
     )
     trace.add_argument("dataset", help="a registered dataset name")
     trace.add_argument("--mode", type=int, default=0, help="tensor target mode")
@@ -212,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(learned-cost-model pruning, cycle-level simulator oracle)",
     )
     tune.add_argument("kernel", nargs="?",
-                      choices=TENSOR_KERNELS + MATRIX_KERNELS)
+                      choices=KERNEL_CHOICES)
     tune.add_argument("dataset", nargs="?", help="a registered dataset name")
     tune.add_argument("--rank", type=int, default=32, help="F / F1=F2 / N")
     tune.add_argument("--mode", type=int, default=0, help="tensor target mode")
@@ -330,39 +333,30 @@ def _load_any(name: str):
     )
 
 
+def _load_for(kernel: str, dataset: str):
+    """``dataset`` loaded, checked to fit ``kernel``'s operand order."""
+    kind, data = _load_any(dataset)
+    want = "tensor" if kernel_spec(kernel).order == 3 else "matrix"
+    if kind != want:
+        raise SystemExit(f"{kernel} needs a {want} dataset")
+    return data
+
+
+def _launch(acc: Tensaurus, args: argparse.Namespace, data, **kwargs):
+    """One timing-only launch of ``args.kernel`` at F (= F1 = F2) ``args.rank``."""
+    return synthetic_launch(
+        acc, args.kernel, data, args.rank, args.rank, **kwargs
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    kind, data = _load_any(args.dataset)
-    rng = make_rng(0)
+    data = _load_for(args.kernel, args.dataset)
     acc = Tensaurus()
-    if args.kernel in TENSOR_KERNELS:
-        if kind != "tensor":
-            raise SystemExit(f"{args.kernel} needs a tensor dataset")
-        rest = [m for m in range(3) if m != args.mode]
-        b = rng.random((data.shape[rest[0]], args.rank))
-        c = rng.random((data.shape[rest[1]], args.rank))
-        if args.kernel == "spmttkrp":
-            report = acc.run_mttkrp(
-                data, b, c, mode=args.mode, msu_mode=args.msu_mode,
-                compute_output=False,
-            )
-            stats = tensor_workload("mttkrp", data, args.rank, mode=args.mode)
-        else:
-            report = acc.run_ttmc(
-                data, b, c, mode=args.mode, msu_mode=args.msu_mode,
-                compute_output=False,
-            )
-            stats = tensor_workload("ttmc", data, args.rank, args.rank, mode=args.mode)
+    report = _launch(acc, args, data, mode=args.mode, msu_mode=args.msu_mode)
+    if kernel_spec(args.kernel).order == 3:
+        stats = tensor_workload(args.kernel, data, args.rank, args.rank, mode=args.mode)
     else:
-        if kind != "matrix":
-            raise SystemExit(f"{args.kernel} needs a matrix dataset")
-        if args.kernel == "spmm":
-            b = rng.random((data.shape[1], args.rank))
-            report = acc.run_spmm(data, b, msu_mode=args.msu_mode, compute_output=False)
-            stats = matrix_workload("spmm", data, args.rank)
-        else:
-            x = rng.random(data.shape[1])
-            report = acc.run_spmv(data, x, msu_mode=args.msu_mode, compute_output=False)
-            stats = matrix_workload("spmv", data)
+        stats = matrix_workload(args.kernel, data, args.rank)
     cpu = CPUBaseline().run(stats)
     gpu = GPUBaseline().run(stats)
     energy = accelerator_energy(report, acc.config.peak_gops)
@@ -386,16 +380,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_roofline(args: argparse.Namespace) -> int:
     acc = Tensaurus()
-    rng = make_rng(0)
     points = []
     for name in datasets.list_tensors():
-        t = datasets.load_tensor(name)
-        b = rng.random((t.shape[1], args.rank))
-        c = rng.random((t.shape[2], args.rank))
-        if args.kernel == "spmttkrp":
-            report = acc.run_mttkrp(t, b, c, compute_output=False)
-        else:
-            report = acc.run_ttmc(t, b, c, compute_output=False)
+        report = _launch(acc, args, datasets.load_tensor(name))
         points.append(
             RooflinePoint.from_report(
                 name, report, acc.config.peak_gops, acc.config.peak_bw_gbs
@@ -411,10 +398,9 @@ def _run_workload(args: argparse.Namespace):
     A fresh accelerator per call, so repeated runs (the ``--check``
     baseline) see identical encoding-cache behaviour.
     """
-    kind, data = _load_any(args.dataset)
-    rng = make_rng(0)
     acc = Tensaurus()
     if args.kernel == "cp-als":
+        kind, data = _load_any(args.dataset)
         if kind != "tensor":
             raise SystemExit("cp-als needs a tensor dataset")
         from repro.factorization.accelerated import accelerated_cp_als
@@ -423,24 +409,8 @@ def _run_workload(args: argparse.Namespace):
             data, rank=args.rank, num_iters=args.iters, seed=0, accelerator=acc
         )
         return run.reports
-    if args.kernel in TENSOR_KERNELS:
-        if kind != "tensor":
-            raise SystemExit(f"{args.kernel} needs a tensor dataset")
-        rest = [m for m in range(3) if m != args.mode]
-        b = rng.random((data.shape[rest[0]], args.rank))
-        c = rng.random((data.shape[rest[1]], args.rank))
-        if args.kernel == "spmttkrp":
-            report = acc.run_mttkrp(data, b, c, mode=args.mode, compute_output=False)
-        else:
-            report = acc.run_ttmc(data, b, c, mode=args.mode, compute_output=False)
-        return [report]
-    if kind != "matrix":
-        raise SystemExit(f"{args.kernel} needs a matrix dataset")
-    if args.kernel == "spmm":
-        b = rng.random((data.shape[1], args.rank))
-        return [acc.run_spmm(data, b, compute_output=False)]
-    x = rng.random(data.shape[1])
-    return [acc.run_spmv(data, x, compute_output=False)]
+    data = _load_for(args.kernel, args.dataset)
+    return [_launch(acc, args, data, mode=args.mode)]
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

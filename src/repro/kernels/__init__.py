@@ -4,7 +4,9 @@ Every computation the accelerator supports (Table 1) has a numpy reference
 implementation here: MTTKRP and TTMc (dense and sparse, naive and
 operand-factored), GEMM/SpMM, GEMV/SpMV, and the SF3 compute-pattern
 executor the hardware is built around. The simulator's outputs are checked
-against these, and the factorization algorithms call them.
+against these, and the factorization algorithms call them. The kernel
+table (:mod:`repro.kernels.spec`) declares each family's names and op
+count once.
 """
 
 from repro.kernels.linalg import hadamard, khatri_rao, kron_vec
@@ -23,6 +25,7 @@ from repro.kernels.ttmc import (
     ttmc_flops,
 )
 from repro.kernels.matmul import gemm, gemv, spmm, spmv
+from repro.kernels.spec import KERNELS, KernelSpec, kernel_spec
 from repro.kernels.sf3 import (
     SF3Spec,
     execute_sf3,
@@ -56,4 +59,7 @@ __all__ = [
     "sf3_spec_ttmc",
     "sf3_spec_spmm",
     "sf3_spec_spmv",
+    "KERNELS",
+    "KernelSpec",
+    "kernel_spec",
 ]

@@ -273,10 +273,19 @@ def fiber_sums(plan: FiberPlan, mat_c: np.ndarray) -> np.ndarray:
     return tsr
 
 
+def scatter_cells(rows: np.ndarray, width: int) -> np.ndarray:
+    """The flat ``(row, column)`` output cell of every entry of a row-major
+    ``(len(rows), width)`` block whose row ``n`` goes to output row
+    ``rows[n]``: the index :func:`scatter_rows` sums over. Built per call,
+    never kept in a plan (it holds ``len(rows) * width`` int64 cells)."""
+    return ((rows * width)[:, None] + np.arange(width)).ravel()
+
+
 def scatter_rows(
-    rows: np.ndarray, contrib: np.ndarray, num_rows: int
+    cells: np.ndarray, contrib: np.ndarray, num_rows: int
 ) -> np.ndarray:
-    """``out[rows[n], :] += contrib[n, :]`` over ``n`` in order, from zero.
+    """``out[rows[n], :] += contrib[n, :]`` over ``n`` in order, from zero,
+    where ``cells`` is ``scatter_cells(rows, contrib.shape[1])``.
 
     The OSR accumulation: one ``np.bincount`` over the flattened ``(row,
     column)`` cell of every entry of a row-major ``contrib``. bincount adds
@@ -285,7 +294,6 @@ def scatter_rows(
     the result is bit-identical to that scatter.
     """
     width = contrib.shape[1]
-    cells = (rows * width)[:, None] + np.arange(width)
-    sums = np.bincount(cells.ravel(), contrib.ravel(), num_rows * width)
+    sums = np.bincount(cells, contrib.ravel(), num_rows * width)
     # bincount returns int64 zeros when it has no weights at all.
     return sums.reshape(num_rows, width).astype(np.float64, copy=False)

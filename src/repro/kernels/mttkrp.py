@@ -25,9 +25,11 @@ from repro.kernels.fibers import (
     check_plan,
     fiber_plan,
     fiber_sums,
+    scatter_cells,
     scatter_rows,
 )
 from repro.kernels.linalg import khatri_rao
+from repro.kernels.spec import kernel_spec
 from repro.tensor import SparseTensor, unfold_dense
 from repro.util.errors import KernelError, ShapeError
 from repro.util.validation import check_mode, check_shape_match
@@ -137,7 +139,8 @@ def mttkrp_sparse_factored(
     tsr = fiber_sums(plan, mat_c)  # (fibers, F)
     # OSR phase: Hadamard with B(j,:) and accumulate per slice i.
     tsr *= mat_b.take(plan.fiber_j, axis=0)
-    return scatter_rows(plan.fiber_i, tsr, plan.shape[0])
+    cells = scatter_cells(plan.fiber_i, tsr.shape[1])
+    return scatter_rows(cells, tsr, plan.shape[0])
 
 
 def mttkrp_flops(
@@ -171,4 +174,4 @@ def mttkrp_flops(
         return 2 * total * rank * (len(shape) - 1)
     # Sparse: scalar-fiber product (mul+add) per nonzero per rank column,
     # plus the fiber-level Hadamard fold, bounded by one per nonzero.
-    return 2 * int(nnz) * rank * 2
+    return kernel_spec("mttkrp").ops(int(nnz), int(nnz), rank, 0)

@@ -29,6 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
+from repro.kernels.spec import kernel_spec
 from repro.tensor import SparseTensor
 from repro.util.errors import KernelError
 from repro.util.validation import check_mode
@@ -59,7 +60,8 @@ class SF3Spec:
       column).
     - ``out_shape`` — shape of the full output (the first axis indexes the
       output groups).
-    - ``flop_count`` — the kernel instance's arithmetic operation count.
+    - ``flop_count`` — the kernel instance's arithmetic operation count
+      (its family's :attr:`~repro.kernels.spec.KernelSpec.ops` rule).
     """
 
     kernel: str
@@ -225,15 +227,16 @@ def sf3_spec_mttkrp(
     mat_c = np.asarray(mat_c, dtype=np.float64)
     rank = mat_b.shape[1]
     gids, gptr, d1i, d1p, d0i, d0v = _tensor_domains(tensor, mode)
+    spec = kernel_spec("mttkrp")
     return SF3Spec(
-        kernel="mttkrp",
+        kernel=spec.name,
         group_ids=gids, group_ptr=gptr,
         d1_idx=d1i, d1_ptr=d1p, d0_idx=d0i, d0_val=d0v,
         fiber0=mat_c,
         fiber1=mat_b,
         op="hadamard",
         out_shape=(tensor.shape[mode], rank),
-        flop_count=2 * tensor.nnz * rank + 2 * int(d1i.shape[0]) * rank,
+        flop_count=spec.ops(tensor.nnz, int(d1i.shape[0]), rank, 0),
     )
 
 
@@ -251,15 +254,16 @@ def sf3_spec_ttmc(
     mat_c = np.asarray(mat_c, dtype=np.float64)
     f1, f2 = mat_b.shape[1], mat_c.shape[1]
     gids, gptr, d1i, d1p, d0i, d0v = _tensor_domains(tensor, mode)
+    spec = kernel_spec("ttmc")
     return SF3Spec(
-        kernel="ttmc",
+        kernel=spec.name,
         group_ids=gids, group_ptr=gptr,
         d1_idx=d1i, d1_ptr=d1p, d0_idx=d0i, d0_val=d0v,
         fiber0=mat_c,
         fiber1=mat_b,
         op="kron",
         out_shape=(tensor.shape[mode], f1, f2),
-        flop_count=2 * tensor.nnz * f2 + 2 * int(d1i.shape[0]) * f1 * f2,
+        flop_count=spec.ops(tensor.nnz, int(d1i.shape[0]), f1, f2),
     )
 
 
@@ -267,8 +271,9 @@ def sf3_spec_spmm(a: CSRMatrix, mat_b: np.ndarray) -> SF3Spec:
     """Table 1 row SpMM/GEMM: no fiber1/op; D0 = nonzeros of row i."""
     mat_b = np.asarray(mat_b, dtype=np.float64)
     gids, gptr, d1i, d1p = _matrix_domains(a)
+    spec = kernel_spec("spmm")
     return SF3Spec(
-        kernel="spmm",
+        kernel=spec.name,
         group_ids=gids, group_ptr=gptr, d1_idx=d1i, d1_ptr=d1p,
         d0_idx=a.indices.astype(np.int64, copy=False),
         d0_val=a.data.astype(np.float64, copy=False),
@@ -276,7 +281,7 @@ def sf3_spec_spmm(a: CSRMatrix, mat_b: np.ndarray) -> SF3Spec:
         fiber1=None,
         op=None,
         out_shape=(a.shape[0], mat_b.shape[1]),
-        flop_count=2 * a.nnz * mat_b.shape[1],
+        flop_count=spec.ops(a.nnz, 0, mat_b.shape[1], 0),
     )
 
 
@@ -284,8 +289,9 @@ def sf3_spec_spmv(a: CSRMatrix, vec: np.ndarray) -> SF3Spec:
     """Table 1 row SpMV/GEMV: fiber0 degenerates to vector elements."""
     vec = np.asarray(vec, dtype=np.float64)
     gids, gptr, d1i, d1p = _matrix_domains(a)
+    spec = kernel_spec("spmv")
     return SF3Spec(
-        kernel="spmv",
+        kernel=spec.name,
         group_ids=gids, group_ptr=gptr, d1_idx=d1i, d1_ptr=d1p,
         d0_idx=a.indices.astype(np.int64, copy=False),
         d0_val=a.data.astype(np.float64, copy=False),
@@ -293,5 +299,5 @@ def sf3_spec_spmv(a: CSRMatrix, vec: np.ndarray) -> SF3Spec:
         fiber1=None,
         op=None,
         out_shape=(a.shape[0],),
-        flop_count=2 * a.nnz,
+        flop_count=spec.ops(a.nnz, 0, 1, 0),
     )

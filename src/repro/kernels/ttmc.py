@@ -22,8 +22,10 @@ from repro.kernels.fibers import (
     check_plan,
     fiber_plan,
     fiber_sums,
+    scatter_cells,
     scatter_rows,
 )
+from repro.kernels.spec import kernel_spec
 from repro.tensor import SparseTensor
 from repro.util.errors import KernelError
 from repro.util.validation import check_mode, check_shape_match
@@ -141,10 +143,12 @@ def ttmc_sparse_factored(
     tsr = fiber_sums(plan, mat_c)  # (fibers, F2)
     b_rows = mat_b.take(plan.fiber_j, axis=0)  # (fibers, F1)
     out = np.empty((num_rows, b_rows.shape[1], tsr.shape[1]))
-    # One column of B(j,:) ⊗ TSR at a time, never the whole outer product.
+    # One column of B(j,:) ⊗ TSR at a time, never the whole outer product;
+    # every column scatters into the same (slice, F2) cells.
+    cells = scatter_cells(plan.fiber_i, tsr.shape[1])
     for a in range(b_rows.shape[1]):
         contrib = b_rows[:, a, None] * tsr
-        out[:, a] = scatter_rows(plan.fiber_i, contrib, num_rows)
+        out[:, a] = scatter_rows(cells, contrib, num_rows)
     return out
 
 
@@ -163,9 +167,10 @@ def ttmc_flops(
     """
     shape = tuple(int(s) for s in shape)
     f1, f2 = int(ranks[0]), int(ranks[1])
+    spec = kernel_spec("ttmc")
     if nnz is None:
         i, j, k = shape
-        if factored:
-            return 2 * i * j * (k * f2 + f1 * f2)
+        if factored:  # every one of the I*J fibers is full
+            return spec.ops(i * j * k, i * j, f1, f2)
         return 2 * i * j * k * f1 * f2 * 2 // 2
-    return 2 * int(nnz) * f2 + 2 * int(nnz) * f1 * f2
+    return spec.ops(int(nnz), int(nnz), f1, f2)

@@ -72,7 +72,7 @@ def calibrate_analytic_error(
         kernel, workload = pairs[i]
         item = pool[workload]
         simulated = item.run(kernel, acc, compute_output=False)
-        predicted = item.analytic(kernel, fast)
+        predicted = fast.run(kernel, item.operand, *item.ranks)
         err = abs(predicted.cycles - simulated.cycles) / max(simulated.cycles, 1)
         worst = max(worst, err)
     return worst
@@ -116,7 +116,7 @@ class DegradationLadder:
         Returns ``(report, degraded, error_bound)``. Simulator tiers may
         raise :class:`repro.util.errors.FaultError` (the caller's breaker
         handles that); the analytic tier cannot fault. Reports equal a
-        direct ``item.run`` / ``item.analytic`` call's, and an armed
+        direct ``item.run`` / ``FastModel.run`` call's, and an armed
         fault plan sees the same launch sequence.
         """
         if tier == TIER_ANALYTIC:
@@ -159,7 +159,10 @@ class DegradationLadder:
         key = (TIER_ANALYTIC, kernel, item.fingerprint)
         entry = self._memo.get(key)
         if entry is None:
-            entry = (self.sim_config, item.analytic(kernel, self.fast))
+            entry = (
+                self.sim_config,
+                self.fast.run(kernel, item.operand, *item.ranks),
+            )
             self._memo[key] = entry
         return entry[1].clone()
 

@@ -18,11 +18,11 @@ import numpy as np
 
 from repro.datasets.generators import random_sparse_tensor, uniform_matrix
 from repro.formats.csr import CSRMatrix
+from repro.kernels.spec import KERNELS, kernel_spec
 from repro.serving.request import ServingRequest
+from repro.sim.accelerator import launch
 from repro.util.errors import ConfigError, KernelError
 from repro.util.rng import derive_seed, make_rng
-
-KERNELS = ("mttkrp", "ttmc", "spmm", "spmv")
 
 
 @dataclass
@@ -30,13 +30,13 @@ class WorkloadItem:
     """One named workload: a kernel-agnostic operand bundle.
 
     ``run`` executes the workload on a :class:`repro.sim.Tensaurus`
-    (full or batched tier); ``analytic`` evaluates it with a
-    :class:`repro.sim.perfmodel.FastModel`. ``nnz`` feeds the serving
-    cost model.
+    (full or batched tier); the analytic tier evaluates ``operand`` and
+    ``ranks`` with :meth:`repro.sim.perfmodel.FastModel.run`. ``nnz``
+    feeds the serving cost model.
     """
 
     name: str
-    kind: str  # "tensor" | "matrix"
+    kind: str  # "tensor" | "matrix": also the key of the sparse operand
     nnz: int
     operands: Dict[str, Any] = field(default_factory=dict)
     _fingerprint: Optional[str] = field(
@@ -62,47 +62,39 @@ class WorkloadItem:
             )
         return self._fingerprint
 
+    @property
+    def order(self) -> int:
+        """Order of the sparse operand: 3 for a tensor, 2 for a matrix."""
+        return 3 if self.kind == "tensor" else 2
+
+    @property
+    def operand(self):
+        """The sparse operand: the tensor or the CSR matrix."""
+        return self.operands[self.kind]
+
+    @property
+    def ranks(self) -> Tuple[int, ...]:
+        """Factor widths in :meth:`FastModel.run` order: F1 and F2 of a
+        tensor workload, the SpMM column count of a matrix workload."""
+        op = self.operands
+        return tuple(op[k].shape[1] for k in ("mat_b", "mat_c") if k in op)
+
     def run(self, kernel: str, accelerator, compute_output: bool = True):
         """Execute on a simulated accelerator; returns a SimReport."""
+        spec = kernel_spec(kernel)
+        if spec.order != self.order:
+            raise KernelError(
+                f"{kernel!r} does not run on {self.kind} workload {self.name!r}"
+            )
         op = self.operands
-        if kernel == "mttkrp":
-            return accelerator.run_mttkrp(
-                op["tensor"], op["mat_b"], op["mat_c"],
-                compute_output=compute_output,
-            )
-        if kernel == "ttmc":
-            return accelerator.run_ttmc(
-                op["tensor"], op["mat_b"], op["mat_c"],
-                compute_output=compute_output,
-            )
-        if kernel == "spmm":
-            return accelerator.run_spmm(
-                op["matrix"], op["mat_b"], compute_output=compute_output
-            )
-        if kernel == "spmv":
-            return accelerator.run_spmv(
-                op["matrix"], op["vec"], compute_output=compute_output
-            )
-        raise KernelError(f"unknown serving kernel {kernel!r}")
-
-    def analytic(self, kernel: str, fast_model):
-        """Closed-form estimate; returns a SimReport with output=None."""
-        op = self.operands
-        if kernel == "mttkrp":
-            return fast_model.mttkrp(op["tensor"], op["mat_b"].shape[1])
-        if kernel == "ttmc":
-            return fast_model.ttmc(
-                op["tensor"], op["mat_b"].shape[1], op["mat_c"].shape[1]
-            )
-        if kernel == "spmm":
-            return fast_model.spmm(op["matrix"], op["mat_b"].shape[1])
-        if kernel == "spmv":
-            return fast_model.spmv(op["matrix"])
-        raise KernelError(f"unknown serving kernel {kernel!r}")
-
-    def kernels(self) -> Tuple[str, ...]:
-        """Kernels this workload's operands can serve."""
-        return ("mttkrp", "ttmc") if self.kind == "tensor" else ("spmm", "spmv")
+        if spec.order == 3:
+            dense = (op["mat_b"], op["mat_c"])
+        else:
+            dense = (op["vec"] if spec.name == "spmv" else op["mat_b"],)
+        return launch(
+            accelerator, kernel, self.operand, dense,
+            compute_output=compute_output,
+        )
 
 
 class WorkloadPool:
@@ -190,11 +182,12 @@ class WorkloadPool:
 
     def choices(self) -> List[Tuple[str, str]]:
         """All valid ``(kernel, workload)`` pairs, in stable order."""
-        pairs: List[Tuple[str, str]] = []
-        for name in self.names():
-            for kernel in self.items[name].kernels():
-                pairs.append((kernel, name))
-        return pairs
+        return [
+            (spec.name, name)
+            for name in self.names()
+            for spec in KERNELS
+            if spec.order == self.items[name].order
+        ]
 
 
 def synthetic_trace(

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from repro.kernels.matmul import gemv as gemv_ref
 from repro.kernels.matmul import spmm as spmm_ref
 from repro.kernels.matmul import spmv as spmv_ref
 from repro.kernels.mttkrp import mttkrp_dense_factored, mttkrp_sparse_factored
+from repro.kernels.spec import kernel_spec
 from repro.kernels.ttmc import ttmc_dense_factored, ttmc_sparse_factored
 from repro.sim.batch import (
     BatchTileStats,
@@ -256,12 +257,6 @@ class Tensaurus:
         """Buffer-swap plus systolic fill cycles charged per tile."""
         return self.config.rows + self.config.cols + 16
 
-    def _out_elems(self, plan: TilingPlan) -> int:
-        """Output elements per slice/row per pass."""
-        if plan.kernel == "ttmc":
-            return plan.f1_tile * plan.fiber_elems
-        return plan.fiber_elems
-
     def _resolve_msu_mode(
         self,
         kernel: str,
@@ -362,6 +357,62 @@ class Tensaurus:
             lanes, cfg.spm_banks, costs,
         )
         return self._cache.get(key, build)
+
+    def _sparse_totals(
+        self,
+        plan: TilingPlan,
+        costs: KernelCosts,
+        part: TilePartition,
+        fp: Optional[bytes],
+        mode: int,
+        entry_bytes: int,
+        lanes: int,
+        ctx: Optional[RunFaultContext],
+    ) -> _TileTotals:
+        """Per-pass totals over the nonempty tiles of a sparse operand.
+
+        Each tile loads the resident extents of its j and k blocks (edge
+        tiles clip; a matrix has no k blocks) and, in direct mode, reads
+        and writes the output rows it visits.
+        """
+        dw = self.config.data_width
+        stats = self._tile_stats(part, costs, fp, mode, lanes)
+        if plan.k_tile is None:
+            jb, kx = part.uniq % part.nj, 0
+        else:
+            jb, kb = (part.uniq // part.nk) % part.nj, part.uniq % part.nk
+            kx = np.minimum(plan.k_tile, part.dims[2] - kb * plan.k_tile)
+        jx = np.minimum(plan.j_tile, part.dims[1] - jb * plan.j_tile)
+        t_bytes = stats.num_entries * entry_bytes
+        m_bytes = plan.dense_elems(jx, kx) * dw
+        if plan.msu_mode == "direct":
+            o_bytes = stats.num_headers * plan.out_elems * dw * 2
+        else:
+            o_bytes = np.zeros_like(t_bytes)
+        return self._combine_tile_costs(stats, t_bytes, m_bytes, o_bytes, ctx)
+
+    def _estimate_traffic(
+        self,
+        plan: TilingPlan,
+        part: TilePartition,
+        nnz: int,
+        nonempty_rows: int,
+        lanes: int,
+        index_fields: int,
+    ) -> float:
+        """Cheap traffic estimate for MSU-mode selection (no encoding)."""
+        cfg = self.config
+        dw = cfg.data_width
+        groups = part.num_tiles
+        # Matrix traffic: each nonempty group loads its j (and k) tiles.
+        matrix = groups * plan.dense_elems(plan.j_tile, plan.k_tile or 0) * dw
+        entry_bytes = cfg.ciss_entry_bytes(index_fields, lanes=lanes)
+        tensor = (nnz / lanes + groups) * entry_bytes
+        if plan.msu_mode == "direct":
+            output = part.slice_visits * plan.out_elems * dw * 2
+        else:
+            output = nonempty_rows * plan.out_elems * dw
+        return float((matrix + tensor + output) * plan.passes)
 
     def _combine_tile_costs(
         self,
@@ -606,7 +657,6 @@ class Tensaurus:
         coords = fibers.coords
         nnz = fibers.nnz
         nonempty_slices = fibers.nonempty_slices
-        base = "mttkrp" if kernel == "spmttkrp" else "ttmc"
 
         get_partition = self._partition_getter(
             "tensor-partition", fp, mode, dims,
@@ -616,31 +666,29 @@ class Tensaurus:
         )
 
         def estimate(plan: TilingPlan) -> float:
-            return self._estimate_tensor_traffic(
-                plan, get_partition(plan), nnz, nonempty_slices, lanes
+            return self._estimate_traffic(
+                plan, get_partition(plan), nnz, nonempty_slices, lanes, 2
             )
 
-        resolved = self._resolve_msu_mode(base, dims, msu_mode, rank, rank2, estimate)
-        plan = make_plan(base, cfg, dims, resolved, rank, rank2)
+        resolved = self._resolve_msu_mode(kernel, dims, msu_mode, rank, rank2, estimate)
+        plan = make_plan(kernel, cfg, dims, resolved, rank, rank2)
         costs = kernel_costs(kernel, cfg, plan.fiber_elems, plan.f1_tile)
         entry_bytes = cfg.ciss_entry_bytes(index_fields=2, lanes=lanes)
         dw = cfg.data_width
-        out_elems = self._out_elems(plan)
         part = get_partition(plan)
 
         with obs.tracer().span(
             f"{kernel}.tiles", args={"tiles": part.num_tiles, "nnz": nnz}
         ):
-            totals = self._tensor_totals(
-                kernel, plan, costs, part, fp, mode, entry_bytes,
-                out_elems, lanes, ctx,
+            totals = self._sparse_totals(
+                plan, costs, part, fp, mode, entry_bytes, lanes, ctx
             )
 
         cycles = totals.cycles
         output_bytes = totals.output_bytes
         write_cycles = 0
         if plan.msu_mode == "buffered":
-            write_bytes = nonempty_slices * out_elems * dw
+            write_bytes = nonempty_slices * plan.out_elems * dw
             output_bytes += write_bytes
             write_cycles = math.ceil(write_bytes / self._bpc)
             cycles += write_cycles
@@ -677,71 +725,6 @@ class Tensaurus:
         )
         self._finish_launch_obs(report, plan.passes, totals.phases, write_cycles)
         return report
-
-    def _tensor_tile_extents(
-        self, plan: TilingPlan, part: TensorTilePartition
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Resident j/k extents of each nonempty tile (edge tiles clip)."""
-        dims = part.dims
-        g_jb = (part.uniq // part.nk) % part.nj
-        g_kb = part.uniq % part.nk
-        jx = np.minimum(plan.j_tile, dims[1] - g_jb * plan.j_tile)
-        kx = np.minimum(plan.k_tile, dims[2] - g_kb * plan.k_tile)
-        return jx, kx
-
-    def _tensor_totals(
-        self,
-        kernel: str,
-        plan: TilingPlan,
-        costs: KernelCosts,
-        part: TensorTilePartition,
-        fp: Optional[bytes],
-        mode: int,
-        entry_bytes: int,
-        out_elems: int,
-        lanes: int,
-        ctx: Optional[RunFaultContext],
-    ) -> _TileTotals:
-        dw = self.config.data_width
-        stats = self._tile_stats(part, costs, fp, mode, lanes)
-        jx, kx = self._tensor_tile_extents(plan, part)
-        t_bytes = stats.num_entries * entry_bytes
-        if kernel == "spttmc":
-            m_bytes = (jx * plan.f1_tile + kx * plan.fiber_elems) * dw
-        else:
-            m_bytes = (jx + kx) * plan.fiber_elems * dw
-        if plan.msu_mode == "direct":
-            o_bytes = stats.num_headers * out_elems * dw * 2
-        else:
-            o_bytes = np.zeros_like(t_bytes)
-        return self._combine_tile_costs(stats, t_bytes, m_bytes, o_bytes, ctx)
-
-    def _estimate_tensor_traffic(
-        self,
-        plan: TilingPlan,
-        part: TensorTilePartition,
-        nnz: int,
-        nonempty_slices: int,
-        lanes: int,
-    ) -> float:
-        """Cheap traffic estimate for MSU-mode selection (no encoding)."""
-        cfg = self.config
-        dw = cfg.data_width
-        out_elems = self._out_elems(plan)
-        groups = part.num_tiles
-        # Matrix traffic: each nonempty group loads its j and k tiles.
-        if plan.kernel == "ttmc":
-            per_group = (plan.j_tile * plan.f1_tile + plan.k_tile * plan.fiber_elems)
-        else:
-            per_group = (plan.j_tile + plan.k_tile) * plan.fiber_elems
-        matrix = groups * per_group * dw
-        entry_bytes = cfg.ciss_entry_bytes(2, lanes=lanes)
-        tensor = (nnz / lanes + groups) * entry_bytes
-        if plan.msu_mode == "direct":
-            output = part.slice_visits * out_elems * dw * 2
-        else:
-            output = nonempty_slices * out_elems * dw
-        return float((matrix + tensor + output) * plan.passes)
 
     # ------------------------------------------------------------------
     # Sparse matrix kernels (SpMM / SpMV)
@@ -780,8 +763,8 @@ class Tensaurus:
         )
 
         def estimate(plan: TilingPlan) -> float:
-            return self._estimate_matrix_traffic(
-                plan, get_partition(plan), coo.nnz, nonempty_rows, lanes
+            return self._estimate_traffic(
+                plan, get_partition(plan), coo.nnz, nonempty_rows, lanes, 1
             )
 
         resolved = self._resolve_msu_mode(kernel, dims, msu_mode, ncols, 0, estimate)
@@ -789,21 +772,20 @@ class Tensaurus:
         costs = kernel_costs(kernel, cfg, plan.fiber_elems)
         entry_bytes = cfg.ciss_entry_bytes(index_fields=1, lanes=lanes)
         dw = cfg.data_width
-        out_elems = self._out_elems(plan)
         part = get_partition(plan)
 
         with obs.tracer().span(
             f"{kernel}.tiles", args={"tiles": part.num_tiles, "nnz": coo.nnz}
         ):
-            totals = self._matrix_totals(
-                plan, costs, part, fp, entry_bytes, out_elems, lanes, ctx
+            totals = self._sparse_totals(
+                plan, costs, part, fp, 0, entry_bytes, lanes, ctx
             )
 
         cycles = totals.cycles
         output_bytes = totals.output_bytes
         write_cycles = 0
         if plan.msu_mode == "buffered":
-            write_bytes = nonempty_rows * out_elems * dw
+            write_bytes = nonempty_rows * plan.out_elems * dw
             output_bytes += write_bytes
             write_cycles = math.ceil(write_bytes / self._bpc)
             cycles += write_cycles
@@ -837,49 +819,6 @@ class Tensaurus:
         )
         self._finish_launch_obs(report, plan.passes, totals.phases, write_cycles)
         return report
-
-    def _matrix_totals(
-        self,
-        plan: TilingPlan,
-        costs: KernelCosts,
-        part: MatrixTilePartition,
-        fp: Optional[bytes],
-        entry_bytes: int,
-        out_elems: int,
-        lanes: int,
-        ctx: Optional[RunFaultContext],
-    ) -> _TileTotals:
-        dw = self.config.data_width
-        stats = self._tile_stats(part, costs, fp, 0, lanes)
-        g_jb = part.uniq % part.nj
-        jx = np.minimum(plan.j_tile, part.dims[1] - g_jb * plan.j_tile)
-        t_bytes = stats.num_entries * entry_bytes
-        m_bytes = jx * plan.fiber_elems * dw
-        if plan.msu_mode == "direct":
-            o_bytes = stats.num_headers * out_elems * dw * 2
-        else:
-            o_bytes = np.zeros_like(t_bytes)
-        return self._combine_tile_costs(stats, t_bytes, m_bytes, o_bytes, ctx)
-
-    def _estimate_matrix_traffic(
-        self,
-        plan: TilingPlan,
-        part: MatrixTilePartition,
-        nnz: int,
-        nonempty_rows: int,
-        lanes: int,
-    ) -> float:
-        cfg = self.config
-        dw = cfg.data_width
-        out_elems = self._out_elems(plan)
-        groups = part.num_tiles
-        matrix = groups * plan.j_tile * plan.fiber_elems * dw
-        tensor = (nnz / lanes + groups) * cfg.ciss_entry_bytes(1, lanes=lanes)
-        if plan.msu_mode == "direct":
-            output = part.slice_visits * out_elems * dw * 2
-        else:
-            output = nonempty_rows * out_elems * dw
-        return float((matrix + tensor + output) * plan.passes)
 
     # ------------------------------------------------------------------
     # Dense kernels (closed-form uniform tiles)
@@ -978,12 +917,11 @@ class Tensaurus:
             lanes = cfg.rows
         rest = [m for m in range(3) if m != mode]
         dims = tuple(tensor.shape[m] for m in [mode] + rest)
-        base = "mttkrp" if kernel == "dmttkrp" else "ttmc"
         resolved = "buffered" if msu_mode == "auto" else msu_mode
-        plan = make_plan(base, cfg, dims, resolved, rank, rank2)
+        plan = make_plan(kernel, cfg, dims, resolved, rank, rank2)
         costs = kernel_costs(kernel, cfg, plan.fiber_elems, plan.f1_tile)
         dw = cfg.data_width
-        out_elems = self._out_elems(plan)
+        out_elems = plan.out_elems
 
         ops = 0
         tensor_bytes = 0
@@ -1005,10 +943,7 @@ class Tensaurus:
                         costs, records, headers, fibers, lanes
                     )
                     t_bytes = records * dw
-                    if kernel == "dttmc":
-                        m_bytes = (jx * plan.f1_tile + kx * plan.fiber_elems) * dw
-                    else:
-                        m_bytes = (jx + kx) * plan.fiber_elems * dw
+                    m_bytes = plan.dense_elems(jx, kx) * dw
                     o_bytes = 0
                     if plan.msu_mode == "direct":
                         o_bytes = ix * out_elems * dw * 2
@@ -1079,12 +1014,11 @@ class Tensaurus:
         a = np.asarray(a, dtype=np.float64)
         dims = a.shape
         ncols = dense_operand.shape[1] if kernel == "gemm" else 1
-        base = "spmm" if kernel == "gemm" else "spmv"
         resolved = "buffered" if msu_mode == "auto" else msu_mode
-        plan = make_plan(base, cfg, dims, resolved, ncols)
+        plan = make_plan(kernel, cfg, dims, resolved, ncols)
         costs = kernel_costs(kernel, cfg, plan.fiber_elems)
         dw = cfg.data_width
-        out_elems = self._out_elems(plan)
+        out_elems = plan.out_elems
 
         ops = 0
         tensor_bytes = 0
@@ -1103,7 +1037,7 @@ class Tensaurus:
                     costs, records, headers, 0, lanes
                 )
                 t_bytes = records * dw
-                m_bytes = jx * plan.fiber_elems * dw
+                m_bytes = plan.dense_elems(jx) * dw
                 o_bytes = 0
                 if plan.msu_mode == "direct":
                     o_bytes = ix * out_elems * dw * 2
@@ -1154,3 +1088,26 @@ class Tensaurus:
         )
         self._finish_launch_obs(report, plan.passes, fold_phases, write_cycles)
         return report
+
+
+def launch(
+    accelerator,
+    kernel: str,
+    operand,
+    dense: Sequence[np.ndarray],
+    mode: int = 0,
+    **kwargs,
+) -> SimReport:
+    """Run ``kernel`` (any name of its family) on ``accelerator``.
+
+    The launch goes through the accelerator's own ``run_<family>``
+    method, so a wrapper with the same methods
+    (:class:`repro.artifacts.MemoizedTensaurus`) sees it. ``dense`` holds
+    the dense operands in that method's order: B and C for the tensor
+    kernels, B for SpMM, x for SpMV. ``mode`` reaches the tensor kernels
+    only; ``kwargs`` (``msu_mode``, ``compute_output``) reach every one.
+    """
+    spec = kernel_spec(kernel)
+    if spec.order == 3:
+        kwargs["mode"] = mode
+    return getattr(accelerator, f"run_{spec.name}")(operand, *dense, **kwargs)

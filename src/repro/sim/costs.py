@@ -21,13 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.kernels.spec import kernel_spec
 from repro.sim.config import TensaurusConfig
 from repro.util.errors import KernelError
-
-#: Kernels the accelerator supports (Table 1).
-SPARSE_KERNELS = ("spmttkrp", "spttmc", "spmm", "spmv")
-DENSE_KERNELS = ("dmttkrp", "dttmc", "gemm", "gemv")
-ALL_KERNELS = SPARSE_KERNELS + DENSE_KERNELS
 
 
 @dataclass(frozen=True)
@@ -63,64 +59,34 @@ def kernel_costs(
     TTMc, 1 for SpMV/GEMV). ``f1_tile`` is the TTMc-only F1 tile held in
     the OSR (bounded by OLEN == VLEN).
     """
+    spec = kernel_spec(kernel)
     kernel = kernel.lower()
-    if kernel not in ALL_KERNELS:
+    if kernel not in (spec.sparse, spec.dense):
         raise KernelError(f"unknown kernel {kernel!r}")
     base = config.cycles_per_record
-    dense = kernel in DENSE_KERNELS
-    if kernel in ("spmttkrp", "dmttkrp"):
-        return KernelCosts(
-            kernel=kernel,
-            nnz_cycles=base,
-            header_cycles=1,
-            fold_cycles=base,  # fetch B row + VVMUL/VVADD with OSR
-            drain_cycles=1,
-            ops_per_nnz=2 * fiber_elems,
-            ops_per_fold=2 * fiber_elems,
-            uses_fibers=True,
-            bank_key="k",
-            dense=dense,
-        )
-    if kernel in ("spttmc", "dttmc"):
+    tensor = spec.order == 3
+    if spec.name == "ttmc":
         if f1_tile <= 0:
             raise KernelError("TTMc needs a positive f1_tile")
-        return KernelCosts(
-            kernel=kernel,
-            nnz_cycles=base,
-            header_cycles=1,
-            # Fetch the B row, then stream its f1_tile elements one per
-            # cycle, each a VVMUL into one OSR register.
-            fold_cycles=1 + f1_tile,
-            drain_cycles=f1_tile,
-            ops_per_nnz=2 * fiber_elems,
-            ops_per_fold=2 * f1_tile * fiber_elems,
-            uses_fibers=True,
-            bank_key="k",
-            dense=dense,
-        )
-    if kernel in ("spmm", "gemm"):
-        return KernelCosts(
-            kernel=kernel,
-            nnz_cycles=base,
-            header_cycles=1,
-            fold_cycles=0,
-            drain_cycles=1,
-            ops_per_nnz=2 * fiber_elems,
-            ops_per_fold=0,
-            uses_fibers=False,
-            bank_key="a",
-            dense=dense,
-        )
-    # spmv / gemv: one scalar MAC per record, first PE column only.
+        # Fetch the B row, then stream its f1_tile elements one per
+        # cycle, each a VVMUL into one OSR register.
+        fold_cycles, drain_cycles, rank = 1 + f1_tile, f1_tile, f1_tile
+    else:
+        # MTTKRP fetches the B row and folds TSR into OSR with one
+        # VVMUL/VVADD; the matrix kernels have no fiber1.
+        fold_cycles, drain_cycles, rank = (base if tensor else 0), 1, fiber_elems
+    # The family's op count at one record and at one fiber end (SpMV: one
+    # scalar MAC per record, on the first PE column only).
+    widths = (rank, fiber_elems)
     return KernelCosts(
         kernel=kernel,
         nnz_cycles=base,
         header_cycles=1,
-        fold_cycles=0,
-        drain_cycles=1,
-        ops_per_nnz=2,
-        ops_per_fold=0,
-        uses_fibers=False,
-        bank_key="a",
-        dense=dense,
+        fold_cycles=fold_cycles,
+        drain_cycles=drain_cycles,
+        ops_per_nnz=spec.ops(1, 0, *widths),
+        ops_per_fold=spec.ops(0, 1, *widths),
+        uses_fibers=tensor,
+        bank_key="k" if tensor else "a",
+        dense=kernel == spec.dense,
     )

@@ -28,9 +28,9 @@ from repro import obs
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.resilience import RetryPolicy, retry_call
-from repro.sim.accelerator import Tensaurus
+from repro.kernels.spec import kernel_spec
+from repro.sim.accelerator import Tensaurus, launch
 from repro.sim.config import TensaurusConfig
-from repro.sim.costs import ALL_KERNELS
 from repro.sim.faults import LAUNCH_ABORT, WATCHDOG, FaultEvent, FaultPlan
 from repro.sim.report import SimReport
 from repro.tensor import SparseTensor
@@ -38,6 +38,7 @@ from repro.util.errors import (
     CancelledError,
     DeadlineExceededError,
     FaultError,
+    KernelError,
     ReproError,
     SimulationError,
 )
@@ -213,8 +214,14 @@ class TensaurusDevice:
             self.reset()
             return None
         if op is Opcode.SET_MODE:
+            # The mode register selects sparse or dense, so it takes a
+            # Table 1 report name, never a bare family name.
             kernel = str(inst.operand).lower()
-            if kernel not in ALL_KERNELS:
+            try:
+                spec = kernel_spec(kernel)
+            except KernelError:
+                spec = None
+            if spec is None or kernel not in (spec.sparse, spec.dense):
                 raise ProgramError(f"unknown kernel {inst.operand!r}")
             self._state.kernel = kernel
             return None
@@ -267,44 +274,32 @@ class TensaurusDevice:
         self._launch_count += 1
         self._bump("launches")
         kernel = st.kernel
-        if kernel in ("spmttkrp", "dmttkrp", "spttmc", "dttmc"):
+        spec = kernel_spec(kernel)
+        if spec.order == 3:
             b = st.operands.get(SLOT_DENSE_B)
             c = st.operands.get(SLOT_DENSE_C)
             if b is None or c is None:
                 raise ProgramError(f"{kernel} needs dense operands B and C")
             if st.ranks is None:
                 raise ProgramError(f"{kernel} needs SET_RANKS")
-            self._check_ranks(kernel, st.ranks, b, c)
-            runner = (
-                self._accelerator.run_mttkrp
-                if kernel.endswith("mttkrp")
-                else self._accelerator.run_ttmc
-            )
-
-            def run() -> SimReport:
-                return runner(
-                    sparse, b, c, mode=st.target_mode, msu_mode=st.msu_mode
-                )
-
-        elif kernel in ("spmm", "gemm"):
+            self._check_ranks(spec.name, st.ranks, b, c)
+            dense = (b, c)
+        elif spec.name == "spmm":
             b = st.operands.get(SLOT_DENSE_B)
             if b is None:
                 raise ProgramError(f"{kernel} needs a dense operand B")
-
-            def run() -> SimReport:
-                return self._accelerator.run_spmm(
-                    sparse, b, msu_mode=st.msu_mode
-                )
-
-        else:  # spmv / gemv
+            dense = (b,)
+        else:
             x = st.operands.get(SLOT_VECTOR)
             if x is None:
                 raise ProgramError(f"{kernel} needs a vector operand")
+            dense = (x,)
 
-            def run() -> SimReport:
-                return self._accelerator.run_spmv(
-                    sparse, x, msu_mode=st.msu_mode
-                )
+        def run() -> SimReport:
+            return launch(
+                self._accelerator, kernel, sparse, dense,
+                mode=st.target_mode, msu_mode=st.msu_mode,
+            )
 
         return self._guarded_run(run)
 
@@ -426,9 +421,9 @@ class TensaurusDevice:
 
     @staticmethod
     def _check_ranks(
-        kernel: str, ranks: Tuple[int, ...], b: np.ndarray, c: np.ndarray
+        family: str, ranks: Tuple[int, ...], b: np.ndarray, c: np.ndarray
     ) -> None:
-        if kernel.endswith("mttkrp"):
+        if family == "mttkrp":
             if len(ranks) != 1:
                 raise ProgramError("MTTKRP takes a single rank F")
             if b.shape[1] != ranks[0] or c.shape[1] != ranks[0]:

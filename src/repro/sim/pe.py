@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.formats.ciss import KIND_HEADER, KIND_NNZ, KIND_PAD, LaneRecord
+from repro.kernels.spec import kernel_spec
 from repro.sim.costs import KernelCosts
 from repro.util.errors import SimulationError
 
@@ -139,7 +140,7 @@ def lane_pass_arrays(
             tsr = _segmented_sequential_sum(scaled, run_starts, run_ends)
             run_j = na[run_starts]
             run_seg = nnz_seg[run_starts]
-            if costs.kernel in ("spttmc", "dttmc"):
+            if kernel_spec(costs.kernel).name == "ttmc":
                 contrib = fiber1[run_j][:, :f1_tile, None] * tsr[:, None, :]
             else:
                 contrib = fiber1[run_j] * tsr

@@ -25,6 +25,7 @@ from typing import Optional, Union
 
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.kernels.spec import kernel_spec
 from repro.sim.config import TensaurusConfig
 from repro.sim.costs import kernel_costs
 from repro.sim.report import SimReport
@@ -99,18 +100,18 @@ class FastModel:
         mode: int = 0,
         msu_mode: str = "direct",
     ) -> SimReport:
-        """Dispatch by kernel name (the interface the auto-tuner's cheap
-        tier uses). Accepts the same aliases as the tiling planner."""
-        k = kernel.lower()
-        if k in ("mttkrp", "spmttkrp", "dmttkrp"):
+        """Dispatch by any name of a kernel family (the interface the
+        auto-tuner's cheap tier and the serving ladder's analytic tier
+        use): ``rank`` is F, F1 or the SpMM column count, ``rank2`` the
+        TTMc F2 (default F1)."""
+        name = kernel_spec(kernel).name
+        if name == "mttkrp":
             return self.mttkrp(operand, rank, mode, msu_mode)
-        if k in ("ttmc", "spttmc", "dttmc"):
+        if name == "ttmc":
             return self.ttmc(operand, rank, rank2 or rank, mode, msu_mode)
-        if k in ("spmm", "gemm"):
+        if name == "spmm":
             return self.spmm(operand, rank, msu_mode)
-        if k in ("spmv", "gemv"):
-            return self.spmv(operand, msu_mode)
-        raise KernelError(f"unknown kernel {kernel!r}")
+        return self.spmv(operand, msu_mode)
 
     # ------------------------------------------------------------------
     def _tensor_kernel(
@@ -133,8 +134,7 @@ class FastModel:
         perm = tensor if mode == 0 else tensor.permute_modes([mode] + rest)
         dims = perm.shape
         coords = perm.coords
-        base = "mttkrp" if kernel == "spmttkrp" else "ttmc"
-        plan = make_plan(base, cfg, dims, msu_mode, rank, rank2)
+        plan = make_plan(kernel, cfg, dims, msu_mode, rank, rank2)
         costs = kernel_costs(kernel, cfg, plan.fiber_elems, plan.f1_tile)
         nnz = perm.nnz
         # Structure statistics (exact, vectorized).
@@ -151,9 +151,6 @@ class FastModel:
         slice_key = tid * (dims[0] + 1) + coords[:, 0]
         n_slice_visits = count_distinct(slice_key)
         n_slices = count_distinct(coords[:, 0])
-        out_elems = (
-            plan.f1_tile * plan.fiber_elems if base == "ttmc" else plan.fiber_elems
-        )
         return self._assemble(
             kernel, plan, costs, nnz,
             headers=n_slice_visits,
@@ -161,12 +158,6 @@ class FastModel:
             groups=n_groups,
             out_rows=n_slices,
             out_visits=n_slice_visits,
-            out_elems=out_elems,
-            matrix_rows_per_group=(
-                plan.j_tile * plan.f1_tile + plan.k_tile * plan.fiber_elems
-                if base == "ttmc"
-                else (plan.j_tile + plan.k_tile) * plan.fiber_elems
-            ),
             index_fields=2,
         )
 
@@ -204,8 +195,6 @@ class FastModel:
             groups=n_groups,
             out_rows=n_rows,
             out_visits=n_visits,
-            out_elems=plan.fiber_elems,
-            matrix_rows_per_group=plan.j_tile * plan.fiber_elems,
             index_fields=1,
         )
 
@@ -220,8 +209,6 @@ class FastModel:
         groups: int,
         out_rows: int,
         out_visits: int,
-        out_elems: int,
-        matrix_rows_per_group: int,
         index_fields: int,
     ) -> SimReport:
         cfg = self.config
@@ -244,11 +231,12 @@ class FastModel:
         # Traffic.
         entry_bytes = cfg.ciss_entry_bytes(index_fields)
         tensor_bytes = entries * entry_bytes
-        matrix_bytes = groups * matrix_rows_per_group * dw
+        # Each nonempty group loads its j (and, for tensors, k) tiles.
+        matrix_bytes = groups * plan.dense_elems(plan.j_tile, plan.k_tile or 0) * dw
         if plan.msu_mode == "direct":
-            output_bytes = out_visits * out_elems * dw * 2
+            output_bytes = out_visits * plan.out_elems * dw * 2
         else:
-            output_bytes = out_rows * out_elems * dw
+            output_bytes = out_rows * plan.out_elems * dw
         mem = (tensor_bytes + matrix_bytes + output_bytes) / cfg.hbm_bytes_per_cycle
         cycles = int(max(compute, mem) * plan.passes)
         ops = costs.ops_per_nnz * nnz

@@ -76,25 +76,6 @@ class SweepResult(List[DesignPoint]):
         self.failures: List[SweepFailure] = []
         self.fallback_reason: Optional[str] = None
 
-    def best(self, key="cycles") -> DesignPoint:
-        """The design point minimizing ``key``.
-
-        ``key`` is either a :class:`~repro.sim.report.SimReport` attribute
-        name (``"cycles"``, ``"time_s"``, ``"total_bytes"``, ...) or a
-        callable on a :class:`DesignPoint` returning a comparable. Ties
-        break toward grid order (``min`` is stable), so the choice is
-        deterministic regardless of worker scheduling.
-        """
-        if not self:
-            raise ConfigError("no design points to pick a best from")
-        if callable(key):
-            metric = key
-        else:
-            if not hasattr(self[0].report, key):
-                raise ConfigError(f"unknown report metric {key!r}")
-            metric = lambda p: getattr(p.report, key)  # noqa: E731
-        return min(self, key=metric)
-
 
 def _evaluate_point(
     config: TensaurusConfig,

@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.kernels.spec import kernel_spec
 from repro.sim.config import TensaurusConfig
-from repro.util.errors import ConfigError, KernelError
+from repro.util.errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,19 @@ class TilingPlan:
     def __post_init__(self) -> None:
         if self.msu_mode not in ("buffered", "direct"):
             raise ConfigError(f"unknown MSU mode {self.msu_mode!r}")
+
+    @property
+    def out_elems(self) -> int:
+        """Output elements per slice/row per pass: the OSR's F1 x F2
+        block for TTMc, one output fiber otherwise."""
+        return (self.f1_tile or 1) * self.fiber_elems
+
+    def dense_elems(self, j, k=0):
+        """Dense-operand elements of an SPM tile holding ``j`` fiber1 rows
+        and ``k`` fiber0 rows (``k = 0`` for matrices). A fiber1 row is an
+        F1 tile for TTMc, which only ever holds ``f1_tile > 0``, and an
+        output fiber otherwise. Works elementwise on integer arrays."""
+        return j * (self.f1_tile or self.fiber_elems) + k * self.fiber_elems
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -167,17 +181,15 @@ def make_plan(
     rank: int = 0,
     rank2: int = 0,
 ) -> TilingPlan:
-    """Dispatch to the per-kernel planner."""
-    kernel = kernel.lower()
-    if kernel in ("spmttkrp", "dmttkrp", "mttkrp"):
+    """Dispatch to the planner of ``kernel``'s family (any of its names)."""
+    name = kernel_spec(kernel).name
+    if name == "mttkrp":
         return plan_mttkrp(config, dims, rank, msu_mode)
-    if kernel in ("spttmc", "dttmc", "ttmc"):
+    if name == "ttmc":
         return plan_ttmc(config, dims, rank, rank2, msu_mode)
-    if kernel in ("spmm", "gemm"):
+    if name == "spmm":
         return plan_spmm(config, dims, rank, msu_mode)
-    if kernel in ("spmv", "gemv"):
-        return plan_spmv(config, dims, msu_mode)
-    raise KernelError(f"unknown kernel {kernel!r}")
+    return plan_spmv(config, dims, msu_mode)
 
 
 def tile_count(extent: int, tile: int) -> int:

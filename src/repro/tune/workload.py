@@ -26,37 +26,58 @@ import numpy as np
 from repro.artifacts import fingerprint_value
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.kernels.spec import kernel_spec
+from repro.sim.accelerator import launch
 from repro.sim.config import TensaurusConfig
 from repro.sim.perfmodel import FastModel
 from repro.sim.report import SimReport
 from repro.tensor import SparseTensor
-from repro.util.errors import ConfigError, KernelError
+from repro.util.errors import ConfigError
 from repro.util.rng import make_rng
 
-TENSOR_KERNELS = ("mttkrp", "ttmc")
-MATRIX_KERNELS = ("spmm", "spmv")
 #: Seed for the synthesized dense factors (values don't affect timing).
 FACTOR_SEED = 0
 
 
-def _canonical_kernel(kernel: str) -> str:
-    k = kernel.lower()
-    aliases = {
-        "spmttkrp": "mttkrp", "dmttkrp": "mttkrp", "mttkrp": "mttkrp",
-        "spttmc": "ttmc", "dttmc": "ttmc", "ttmc": "ttmc",
-        "spmm": "spmm", "gemm": "spmm",
-        "spmv": "spmv", "gemv": "spmv",
-    }
-    if k not in aliases:
-        raise KernelError(f"unknown kernel {kernel!r}")
-    return aliases[k]
+def synthetic_launch(
+    accelerator,
+    kernel: str,
+    operand,
+    rank: int = 0,
+    rank2: int = 0,
+    mode: int = 0,
+    msu_mode: str = "auto",
+) -> SimReport:
+    """Time one ``kernel`` launch on ``operand`` (``compute_output=False``).
+
+    Timing never reads the dense operands' values, so they are drawn
+    from their shapes alone with :data:`FACTOR_SEED`: B and C ``rank``
+    wide (C ``rank2`` wide for TTMc), SpMM's B ``rank`` wide, SpMV's x.
+    """
+    spec = kernel_spec(kernel)
+    rng = make_rng(FACTOR_SEED)
+    shape = operand.shape
+    if spec.order == 3:
+        rest = [m for m in range(3) if m != mode]
+        dense = [
+            rng.random((shape[rest[0]], rank)),
+            rng.random((shape[rest[1]], rank2 if spec.name == "ttmc" else rank)),
+        ]
+    elif spec.name == "spmv":
+        dense = [rng.random(shape[1])]
+    else:
+        dense = [rng.random((shape[1], rank))]
+    return launch(
+        accelerator, kernel, operand, dense, mode=mode, msu_mode=msu_mode,
+        compute_output=False,
+    )
 
 
 @dataclass(frozen=True)
 class TuneWorkload:
     """One kernel invocation to tune a config for."""
 
-    kernel: str           # canonical: mttkrp | ttmc | spmm | spmv
+    kernel: str           # family name: mttkrp | ttmc | spmm | spmv
     name: str             # human-readable registry key, e.g. "mttkrp/nell-2/r32"
     operand: object       # SparseTensor (tensor kernels) or COO/CSR matrix
     rank: int = 0         # F / F1 / SpMM dense columns
@@ -65,8 +86,9 @@ class TuneWorkload:
     msu_mode: str = "auto"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kernel", _canonical_kernel(self.kernel))
-        if self.kernel in TENSOR_KERNELS:
+        spec = kernel_spec(self.kernel)
+        object.__setattr__(self, "kernel", spec.name)
+        if spec.order == 3:
             if not isinstance(self.operand, SparseTensor):
                 raise ConfigError(f"{self.kernel} needs a SparseTensor operand")
             if self.rank <= 0:
@@ -185,32 +207,9 @@ class WorkloadRunner:
 
     def __call__(self, acc) -> SimReport:
         p = self._p
-        op = self._build_operand()
-        rng = make_rng(FACTOR_SEED)
-        if p["kernel"] == "mttkrp":
-            rest = [m for m in range(3) if m != p["mode"]]
-            b = rng.random((op.shape[rest[0]], p["rank"]))
-            c = rng.random((op.shape[rest[1]], p["rank"]))
-            return acc.run_mttkrp(
-                op, b, c, mode=p["mode"], msu_mode=p["msu_mode"],
-                compute_output=False,
-            )
-        if p["kernel"] == "ttmc":
-            rest = [m for m in range(3) if m != p["mode"]]
-            b = rng.random((op.shape[rest[0]], p["rank"]))
-            c = rng.random((op.shape[rest[1]], p["rank2"]))
-            return acc.run_ttmc(
-                op, b, c, mode=p["mode"], msu_mode=p["msu_mode"],
-                compute_output=False,
-            )
-        if p["kernel"] == "spmm":
-            b = rng.random((op.shape[1], p["rank"]))
-            return acc.run_spmm(
-                op, b, msu_mode=p["msu_mode"], compute_output=False
-            )
-        x = rng.random(op.shape[1])
-        return acc.run_spmv(
-            op, x, msu_mode=p["msu_mode"], compute_output=False
+        return synthetic_launch(
+            acc, p["kernel"], self._build_operand(), p["rank"], p["rank2"],
+            p["mode"], p["msu_mode"],
         )
 
     def __getstate__(self) -> dict:
@@ -237,23 +236,22 @@ def workload_from_dataset(
     """Build a :class:`TuneWorkload` from a registered dataset name."""
     from repro import datasets
 
-    k = _canonical_kernel(kernel)
-    name = f"{k}/{dataset}/r{rank}" if k != "spmv" else f"{k}/{dataset}"
-    if k in TENSOR_KERNELS:
-        tensor = datasets.load_tensor(dataset, store=store)
-        if k == "mttkrp":
-            return TuneWorkload.mttkrp(
-                tensor, rank, mode=mode, msu_mode=msu_mode, name=name
-            )
-        return TuneWorkload.ttmc(
-            tensor, rank, rank, mode=mode, msu_mode=msu_mode, name=name
-        )
-    if dataset in datasets.SUITESPARSE_DATASETS:
-        matrix = datasets.load_matrix(dataset, store=store)
+    spec = kernel_spec(kernel)
+    k = spec.name
+    if spec.order == 3:
+        operand = datasets.load_tensor(dataset, store=store)
+    elif dataset in datasets.SUITESPARSE_DATASETS:
+        operand = datasets.load_matrix(dataset, store=store)
     elif dataset in datasets.CNN_LAYERS:
-        matrix = datasets.load_cnn_layer(dataset, store=store)
+        operand = datasets.load_cnn_layer(dataset, store=store)
     else:
         raise ConfigError(f"unknown matrix dataset {dataset!r}")
-    if k == "spmm":
-        return TuneWorkload.spmm(matrix, rank, msu_mode=msu_mode, name=name)
-    return TuneWorkload.spmv(matrix, msu_mode=msu_mode, name=name)
+    if k == "spmv":  # no rank
+        return TuneWorkload(k, f"{k}/{dataset}", operand, msu_mode=msu_mode)
+    return TuneWorkload(
+        k, f"{k}/{dataset}/r{rank}", operand,
+        rank=rank,
+        rank2=rank if k == "ttmc" else 0,
+        mode=mode if spec.order == 3 else 0,
+        msu_mode=msu_mode,
+    )

@@ -18,7 +18,7 @@ from repro.kernels import fibers as fibers_mod
 from repro.kernels import mttkrp as mttkrp_mod
 from repro.kernels import ttmc as ttmc_mod
 from repro.kernels import mttkrp_sparse_factored, ttmc_sparse_factored
-from repro.kernels.fibers import fiber_plan, fiber_sums, scatter_rows
+from repro.kernels.fibers import fiber_plan, fiber_sums, scatter_cells, scatter_rows
 from repro.sim import Tensaurus, TensaurusConfig
 from repro.sim import accelerator as accelerator_mod
 from repro.tensor import SparseTensor
@@ -202,12 +202,14 @@ class TestFiberPlan:
         contrib[rows == 5] = -0.0  # output row 5 sums only -0.0 terms
         want = np.zeros((40, width))
         np.add.at(want, rows, contrib)
-        got = scatter_rows(rows, contrib, 40)
+        got = scatter_rows(scatter_cells(rows, width), contrib, 40)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.array_equal(bits(got), bits(want))
 
     def test_scatter_of_no_rows_is_float_zeros(self):
-        got = scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4)
+        got = scatter_rows(
+            scatter_cells(np.zeros(0, dtype=np.int64), 3), np.zeros((0, 3)), 4
+        )
         assert got.dtype == np.float64
         assert np.array_equal(bits(got), bits(np.zeros((4, 3))))
 

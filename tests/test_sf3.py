@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import matrix_workload, tensor_workload
 from repro.formats import CSRMatrix
 from repro.kernels import (
     SF3Spec,
@@ -119,6 +120,26 @@ class TestDomains:
         c = rng.random((small_tensor.shape[2], 4))
         spec = sf3_spec_mttkrp(small_tensor, b, c, 0)
         assert spec.flop_count > 0
+        # The baselines count the same operations under every report name.
+        csr = CSRMatrix.from_dense(rng.random((9, 7)) * (rng.random((9, 7)) < 0.4))
+        nnz, fibers = small_tensor.nnz, spec.num_d1
+        cases = [
+            (("spmttkrp", "dmttkrp"), spec, 2 * nnz * 4 + 2 * fibers * 4),
+            (
+                ("spttmc", "dttmc"),
+                sf3_spec_ttmc(small_tensor, b, c[:, :3], 0),
+                2 * nnz * 3 + 2 * fibers * 4 * 3,
+            ),
+            (("spmm", "gemm"), sf3_spec_spmm(csr, rng.random((7, 4))), 2 * csr.nnz * 4),
+            (("spmv", "gemv"), sf3_spec_spmv(csr, rng.random(7)), 2 * csr.nnz),
+        ]
+        for names, sf3, ops in cases:
+            for name in names:
+                if sf3.fiber1 is not None:
+                    stats = tensor_workload(name, small_tensor, 4, 3)
+                else:
+                    stats = matrix_workload(name, csr, 4)
+                assert sf3.flop_count == stats.ops == ops, name
 
     def test_requires_3d(self, rng):
         flat = SparseTensor.from_entries((2, 2), [((0, 0), 1.0)])

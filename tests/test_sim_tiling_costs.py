@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.kernels.spec import KERNELS
 from repro.sim.config import TensaurusConfig
-from repro.sim.costs import ALL_KERNELS, kernel_costs
+from repro.sim.costs import kernel_costs
 from repro.sim.tiling import (
     make_plan,
     plan_mttkrp,
@@ -15,6 +16,8 @@ from repro.sim.tiling import (
 from repro.util.errors import ConfigError, KernelError
 
 CFG = TensaurusConfig()
+#: The eight report names (Table 1) the cost tables take.
+REPORT_NAMES = [name for spec in KERNELS for name in (spec.sparse, spec.dense)]
 
 
 class TestTileCount:
@@ -103,7 +106,7 @@ class TestMakePlan:
 
 
 class TestKernelCosts:
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("kernel", REPORT_NAMES)
     def test_all_kernels_buildable(self, kernel):
         costs = kernel_costs(kernel, CFG, fiber_elems=16, f1_tile=4)
         assert costs.nnz_cycles == CFG.cycles_per_record

@@ -185,43 +185,6 @@ class TestWarningDedupe:
         assert len(warnings) == 2
 
 
-class TestSweepResultHelpers:
-    def _sweep(self):
-        return sweep_configs(BASE, GRID, _small_runner)
-
-    def test_best_default_metric(self):
-        result = self._sweep()
-        best = result.best()
-        assert best.report.cycles == min(p.report.cycles for p in result)
-
-    def test_best_named_metric(self):
-        result = self._sweep()
-        best = result.best("total_bytes")
-        assert best.report.total_bytes == min(
-            p.report.total_bytes for p in result
-        )
-
-    def test_best_callable_key(self):
-        result = self._sweep()
-        worst = result.best(lambda p: -p.report.cycles)
-        assert worst.report.cycles == max(p.report.cycles for p in result)
-
-    def test_best_stable_tie_break(self):
-        result = self._sweep()
-        # A constant key must return the first point in grid order.
-        assert result.best(lambda p: 0) is result[0]
-
-    def test_best_unknown_metric_raises(self):
-        with pytest.raises(ConfigError, match="nonsense"):
-            self._sweep().best("nonsense")
-
-    def test_best_empty_raises(self):
-        from repro.sim.sweep import SweepResult
-
-        with pytest.raises(ConfigError):
-            SweepResult().best()
-
-
 class TestSweepPoints:
     def test_matches_sweep_configs_grid(self):
         from repro.sim import sweep_points
