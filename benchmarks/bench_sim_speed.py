@@ -40,7 +40,7 @@ import numpy as np
 from repro.factorization.accelerated import accelerated_cp_als
 from repro.formats import CISSTensor
 from repro.sim import Tensaurus, TensaurusConfig, sweep_configs
-from repro.sim.batch import TensorTilePartition
+from repro.sim.batch import TilePartition
 from repro.sim.config import HBM_PRESET
 from repro.sim.costs import kernel_costs
 from repro.sim.event import EventDrivenTensaurus
@@ -104,8 +104,8 @@ def bench_mttkrp(shape, nnz):
     c = rng.standard_normal((shape[2], RANK))
     dims = tuple(t.shape)
     plan = make_plan("mttkrp", BENCH_CONFIG, dims, "buffered", RANK, 0)
-    tiles = TensorTilePartition(
-        t.coords, dims, plan.i_tile, plan.j_tile, plan.k_tile
+    tiles = TilePartition(
+        t.coords.T, dims, plan.i_tile, plan.j_tile, plan.k_tile
     ).num_tiles
 
     batched = Tensaurus(BENCH_CONFIG)

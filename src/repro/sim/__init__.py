@@ -21,8 +21,7 @@ from repro.sim.config import TensaurusConfig, HBM_PRESET, DDR4_PRESET, MemoryCon
 from repro.sim.batch import (
     BatchTileStats,
     EncodingCache,
-    MatrixTilePartition,
-    TensorTilePartition,
+    TilePartition,
     analyze_tile_stream,
     fingerprint_arrays,
 )
@@ -57,8 +56,7 @@ __all__ = [
     "MemoryConfig",
     "BatchTileStats",
     "EncodingCache",
-    "MatrixTilePartition",
-    "TensorTilePartition",
+    "TilePartition",
     "analyze_tile_stream",
     "fingerprint_arrays",
     "HBM_PRESET",

@@ -11,11 +11,13 @@ simulator. It exists for two reasons:
    model tracks the cycle simulator within a tolerance band across kernels
    and densities, which guards both models against drift.
 
-The deliberate approximations (documented inline): per-entry bank-conflict
-stalls use the expected maximum of a multinomial instead of the actual
-index distribution; lane imbalance and tail padding are ignored (the CISS
-scheduler keeps them small); and compute/memory overlap is applied at the
-workload level rather than per tile.
+The tile and slice-visit counts are exact: they come from the cycle
+simulator's own :class:`~repro.sim.batch.TilePartition`, so both models
+read one tile-id rule. The deliberate approximations (documented inline):
+per-entry bank-conflict stalls use the expected maximum of a multinomial
+instead of the actual index distribution; lane imbalance and tail padding
+are ignored (the CISS scheduler keeps them small); and compute/memory
+overlap is applied at the workload level rather than per tile.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from typing import Optional, Union
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels.spec import kernel_spec
+from repro.sim.batch import TilePartition
 from repro.sim.config import TensaurusConfig
 from repro.sim.costs import kernel_costs
 from repro.sim.report import SimReport
-from repro.sim.tiling import make_plan, tile_count
+from repro.sim.tiling import make_plan
 from repro.tensor import SparseTensor
 from repro.util.arrays import count_distinct
 from repro.util.errors import KernelError
@@ -136,28 +139,20 @@ class FastModel:
         coords = perm.coords
         plan = make_plan(kernel, cfg, dims, msu_mode, rank, rank2)
         costs = kernel_costs(kernel, cfg, plan.fiber_elems, plan.f1_tile)
-        nnz = perm.nnz
         # Structure statistics (exact, vectorized).
-        nj = tile_count(dims[1], plan.j_tile)
-        nk = tile_count(dims[2], plan.k_tile)
-        tid = (
-            (coords[:, 0] // plan.i_tile) * nj + coords[:, 1] // plan.j_tile
-        ) * nk + coords[:, 2] // plan.k_tile
-        n_groups = count_distinct(tid)
-        fiber_key = tid * (dims[0] * dims[1] + 1) + (
+        part = TilePartition(coords.T, dims, plan.i_tile, plan.j_tile, plan.k_tile)
+        fiber_key = part.tid * (dims[0] * dims[1] + 1) + (
             coords[:, 0] * dims[1] + coords[:, 1]
         )
         n_fibers = count_distinct(fiber_key)
-        slice_key = tid * (dims[0] + 1) + coords[:, 0]
-        n_slice_visits = count_distinct(slice_key)
         n_slices = count_distinct(coords[:, 0])
         return self._assemble(
-            kernel, plan, costs, nnz,
-            headers=n_slice_visits,
+            kernel, plan, costs, perm.nnz,
+            headers=part.slice_visits,
             fibers=n_fibers,
-            groups=n_groups,
+            groups=part.num_tiles,
             out_rows=n_slices,
-            out_visits=n_slice_visits,
+            out_visits=part.slice_visits,
             index_fields=2,
         )
 
@@ -182,19 +177,14 @@ class FastModel:
         dims = coo.shape
         plan = make_plan(kernel, cfg, dims, msu_mode, ncols)
         costs = kernel_costs(kernel, cfg, plan.fiber_elems)
-        nj = tile_count(dims[1], plan.j_tile)
-        tid = (coo.rows // plan.i_tile) * nj + coo.cols // plan.j_tile
-        n_groups = count_distinct(tid)
-        visit_key = tid * (dims[0] + 1) + coo.rows
-        n_visits = count_distinct(visit_key)
-        n_rows = count_distinct(coo.rows)
+        part = TilePartition((coo.rows, coo.cols), dims, plan.i_tile, plan.j_tile)
         return self._assemble(
             kernel, plan, costs, coo.nnz,
-            headers=n_visits,
+            headers=part.slice_visits,
             fibers=0,
-            groups=n_groups,
-            out_rows=n_rows,
-            out_visits=n_visits,
+            groups=part.num_tiles,
+            out_rows=count_distinct(coo.rows),
+            out_visits=part.slice_visits,
             index_fields=1,
         )
 

@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 from repro.formats import CISSMatrix, CISSTensor, COOMatrix
 from repro.kernels import mttkrp_sparse, spmm, spmv, ttmc_sparse
 from repro.formats.csr import CSRMatrix
-from repro.sim.batch import (
-    MatrixTilePartition,
-    TensorTilePartition,
-    analyze_tile_stream,
-)
+from repro.sim.batch import TilePartition, analyze_tile_stream
 from repro.sim.config import TensaurusConfig
 from repro.sim.costs import kernel_costs
 from repro.sim.lanes import analyze_lanes
@@ -224,7 +220,7 @@ def test_property_batch_analyzer_matches_per_tile_tensor(
     """The segmented batch analyzer must agree tile-for-tile, lane-for-lane
     with per-tile CISS encoding + ``analyze_lanes`` and the interpreter."""
     t = random_tensor(shape=(12, 10, 8), density=0.25, seed=seed)
-    part = TensorTilePartition(t.coords, t.shape, i_tile, j_tile, k_tile)
+    part = TilePartition(t.coords.T, t.shape, i_tile, j_tile, k_tile)
     costs = kernel_costs(kernel, CFG, fiber_elems=8, f1_tile=4)
     s_col, a_col, k_col = part.stream_columns()
     batch = analyze_tile_stream(
@@ -232,9 +228,10 @@ def test_property_batch_analyzer_matches_per_tile_tensor(
     )
     assert batch.num_tiles == part.num_tiles
     vals_s = t.values[part.order]
+    coords_s = np.column_stack(part.coords_s)
     for g, (lo, hi) in enumerate(zip(part.bounds[:-1], part.bounds[1:])):
         sub = SparseTensor(
-            t.shape, part.coords_s[lo:hi], vals_s[lo:hi], canonical=True
+            t.shape, coords_s[lo:hi], vals_s[lo:hi], canonical=True
         )
         ciss = CISSTensor.from_sparse(sub, lanes, mode=0)
         _per_tile_reference(batch, g, ciss, costs, CFG.spm_banks)
@@ -256,16 +253,17 @@ def test_property_batch_analyzer_matches_per_tile_matrix(
     coo = COOMatrix.from_dense(dense)
     if coo.nnz == 0:
         return
-    part = MatrixTilePartition(coo.rows, coo.cols, coo.shape, i_tile, j_tile)
+    part = TilePartition((coo.rows, coo.cols), coo.shape, i_tile, j_tile)
     costs = kernel_costs(kernel, CFG, fiber_elems=8)
     r_col, c_col, _ = part.stream_columns()
     batch = analyze_tile_stream(
         r_col, c_col, None, part.bounds, costs, lanes, CFG.spm_banks
     )
     vals_s = coo.vals[part.order]
+    rows_s, cols_s = part.coords_s
     for g, (lo, hi) in enumerate(zip(part.bounds[:-1], part.bounds[1:])):
         sub = COOMatrix(
-            coo.shape, part.rows_s[lo:hi], part.cols_s[lo:hi], vals_s[lo:hi]
+            coo.shape, rows_s[lo:hi], cols_s[lo:hi], vals_s[lo:hi]
         )
         ciss = CISSMatrix.from_coo(sub, lanes)
         _per_tile_reference(batch, g, ciss, costs, CFG.spm_banks)
