@@ -163,14 +163,12 @@ def mttkrp_flops(
     shape = tuple(int(s) for s in shape)
     rank = int(rank)
     if nnz is None:
+        if factored:  # every one of the I*J fibers is full
+            i, j, k = shape
+            return kernel_spec("mttkrp").ops(i * j * k, i * j, rank, 0)
         total = 1
         for s in shape:
             total *= s
-        if factored:
-            # Innermost contraction: 2 ops per element per rank column; each
-            # outer fold adds 2 ops per surviving element.
-            muls = total * rank + (total // shape[-1]) * rank * (len(shape) - 2 + 1)
-            return 2 * muls
         return 2 * total * rank * (len(shape) - 1)
     # Sparse: scalar-fiber product (mul+add) per nonzero per rank column,
     # plus the fiber-level Hadamard fold, bounded by one per nonzero.

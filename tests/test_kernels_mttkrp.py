@@ -12,6 +12,7 @@ from repro.kernels import (
     mttkrp_sparse,
     mttkrp_sparse_factored,
 )
+from repro.kernels.spec import kernel_spec
 from repro.tensor import SparseTensor
 from repro.util.errors import KernelError, ShapeError
 
@@ -118,6 +119,13 @@ class TestFlops:
         naive = mttkrp_flops((50, 40, 30), 16, factored=False)
         fact = mttkrp_flops((50, 40, 30), 16, factored=True)
         assert fact < naive
+
+    def test_factored_count_folds_each_fiber_once(self):
+        # Eq. 2: I*J*F*(K+1) multiplies, each with its add; the fiber fold
+        # is one Hadamard per (i, j) fiber, as kernel_spec's op rule says.
+        fact = mttkrp_flops((50, 40, 30), 16, factored=True)
+        assert fact == 2 * 50 * 40 * 16 * (30 + 1) == 1_984_000
+        assert fact == kernel_spec("mttkrp").ops(50 * 40 * 30, 50 * 40, 16, 0)
 
     def test_sparse_counts_scale_with_nnz(self):
         a = mttkrp_flops((50, 40, 30), 16, nnz=100)
