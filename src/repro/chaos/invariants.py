@@ -2,17 +2,18 @@
 
 Each checker is a pure function over a :class:`ChaosObservation` — the
 complete record of one executed schedule (fleet results from two seeded
-runs, the probe's lifecycle-event stream, trace reconciliation, the
-checkpoint-equivalence leg, degraded-tier error measurements) — and
-returns the list of :class:`Violation`\\ s it found. The runner
-(:mod:`repro.chaos.search`) builds observations; this module only
-judges them, which is what makes an intentionally-broken system
-(mutation testing) detectable: the checkers never trust the run that
-produced the data.
+runs, the fleet's decisions as the probe kept them, trace
+reconciliation, the checkpoint-equivalence leg, degraded-tier error
+measurements) — and returns the list of :class:`Violation`\\ s it
+found. The runner (:mod:`repro.chaos.search`) builds observations; this
+module only judges them, which is what makes an intentionally-broken
+system (mutation testing) detectable: the checkers never trust the run
+that produced the data.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -48,8 +49,8 @@ class ChaosObservation:
     """Everything one executed schedule produced, ready for judgment.
 
     ``digest``/``replay_digest`` fingerprint the decision log + response
-    rows of two independent runs from the same seed. ``probe`` is run
-    1's lifecycle-event stream. ``checkpoint_equal`` is the verdict of
+    rows of two independent runs from the same seed. ``probe`` holds run
+    1's decisions (:class:`repro.obs.probe.ChaosProbe`). ``checkpoint_equal`` is the verdict of
     the straight-vs-resumed CP-ALS leg under the schedule's
     accelerator-level faults (``None`` when the leg was skipped — e.g.
     retries exhausted, which is a liveness matter, not a correctness
@@ -78,8 +79,9 @@ def check_exactly_once(obs: ChaosObservation) -> List[Violation]:
     """No admitted request is ever committed twice.
 
     Cross-checks the fleet's own accounting (``duplicate_completions``)
-    against the probe's commit stream — a bug that double-commits *and*
-    forgets to count it still trips the probe-side check.
+    against the ``complete`` decisions the probe kept — a bug that
+    double-commits *and* forgets to count it still trips the probe-side
+    check.
     """
     out: List[Violation] = []
     dupes = obs.result.counters.get("duplicate_completions", 0)
@@ -89,9 +91,7 @@ def check_exactly_once(obs: ChaosObservation) -> List[Violation]:
             f"{dupes} duplicate completion(s) committed",
             {"duplicate_completions": dupes},
         ))
-    commits: Dict[int, int] = {}
-    for ev in obs.probe.of("commit"):
-        commits[ev["rid"]] = commits.get(ev["rid"], 0) + 1
+    commits = Counter(ev["rid"] for ev in obs.probe.of("complete"))
     doubled = {rid: n for rid, n in commits.items() if n > 1}
     if doubled:
         out.append(Violation(
@@ -137,15 +137,14 @@ def check_no_lost_admitted_work(obs: ChaosObservation) -> List[Violation]:
 def check_breaker_safety(obs: ChaosObservation) -> List[Violation]:
     """An open breaker never receives a launch.
 
-    The probe records each launch's breaker state *at launch time*;
+    Every launch on a replica (``dispatch``, ``fault`` and each
+    ``hedge`` twin) carries its breaker state *at launch time*;
     ``allow()`` legitimately moves open -> half_open before a probe
     launch, so any launch observed against a still-open breaker means
     the admission path was bypassed.
     """
     bad = [
-        ev for kind in ("launch", "hedge_launch")
-        for ev in obs.probe.of(kind)
-        if ev.get("replica") is not None and ev.get("breaker") == "open"
+        launch for launch in obs.probe.launches() if launch[3] == "open"
     ]
     if not bad:
         return []

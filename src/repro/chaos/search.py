@@ -174,22 +174,17 @@ class ChaosRunner:
             calibrate=False, ladder=self.ladder,
         )
         probe: Optional[ChaosProbe] = None
-        tracer: Optional[RequestTracer] = None
-        prev_probe = prev_tracer = None
         if observe:
-            # Installed directly (not via ``obs.observe``) so the replay
-            # run stays plain: observational purity is itself under test
-            # via the determinism digest.
-            probe = ChaosProbe()
-            tracer = RequestTracer(seed=schedule.seed)
-            prev_probe = obs_mod.set_probe(probe)
-            prev_tracer = obs_mod.set_request_tracer(tracer)
-        try:
+            # Only the probe and a request tracer go in (the span tracer
+            # and registry stay as they are), and the replay runs plain:
+            # observational purity is itself under test via the
+            # determinism digest.
+            probe, tracer = ChaosProbe(), RequestTracer(seed=schedule.seed)
+            with obs_mod.observe(obs_mod.tracer(), obs_mod.metrics(),
+                                 requests=tracer, probe=probe):
+                result = fleet.run_trace(requests)
+        else:
             result = fleet.run_trace(requests)
-        finally:
-            if observe:
-                obs_mod.set_probe(prev_probe)
-                obs_mod.set_request_tracer(prev_tracer)
         if self.mutator is not None:
             self.mutator(schedule, result)
         reconcile_error: Optional[str] = None

@@ -1,12 +1,12 @@
 """Observability layer: metrics, span tracing, request tracing, logging.
 
 Zero overhead when disabled (the default): the active tracer, registry,
-and request tracer are module-level singletons that start as
+request tracer and probe are module-level singletons that start as
 :data:`NULL_TRACER` / :data:`NULL_REGISTRY` /
-:data:`NULL_REQUEST_TRACER`, whose every method is a no-op. Instrumented
-code reads them through :func:`tracer` / :func:`metrics` /
-:func:`request_tracer` each time (never caching across calls), so
-activation is a single global swap:
+:data:`NULL_REQUEST_TRACER` / :data:`NULL_PROBE`, whose every method is
+a no-op. Instrumented code reads them through :func:`tracer` /
+:func:`metrics` / :func:`request_tracer` / :func:`probe` (the fleet once
+per replay, never across calls), so activation is a single global swap:
 
     with obs.observe(requests=True) as ob:
         fleet.run_trace(requests)
@@ -179,6 +179,14 @@ class Observation(NamedTuple):
     probe: Union[ChaosProbe, NullProbe] = NULL_PROBE
 
 
+def _chosen(value, make, null):
+    """``observe``'s reading of ``requests=`` / ``probe=``: True makes a
+    fresh observer, False or None the null one, anything else is used."""
+    if value is True:
+        return make()
+    return null if value is False or value is None else value
+
+
 @contextmanager
 def observe(
     tracer: Optional[Union[Tracer, NullTracer]] = None,
@@ -192,26 +200,16 @@ def observe(
     Fresh ``Tracer(micro=...)`` / ``MetricsRegistry`` instances are
     created unless provided. ``requests=True`` additionally installs a
     fresh :class:`RequestTracer` (or pass one in to control its seed);
-    ``probe=True`` installs a fresh :class:`ChaosProbe` recording the
-    typed lifecycle-event stream the chaos invariants consume. The
+    ``probe=True`` installs a fresh :class:`ChaosProbe` keeping the
+    fleet decisions the chaos invariants judge. The
     previous globals are restored on exit; the yielded
     :class:`Observation` keeps the collected data alive for export after
     the block.
     """
     live_tracer = tracer if tracer is not None else Tracer(micro=micro)
     live_registry = registry if registry is not None else MetricsRegistry()
-    if requests is True:
-        live_requests: Union[RequestTracer, NullRequestTracer] = RequestTracer()
-    elif requests is False or requests is None:
-        live_requests = NULL_REQUEST_TRACER
-    else:
-        live_requests = requests
-    if probe is True:
-        live_probe: Union[ChaosProbe, NullProbe] = ChaosProbe()
-    elif probe is False or probe is None:
-        live_probe = NULL_PROBE
-    else:
-        live_probe = probe
+    live_requests = _chosen(requests, RequestTracer, NULL_REQUEST_TRACER)
+    live_probe = _chosen(probe, ChaosProbe, NULL_PROBE)
     prev_tracer = set_tracer(live_tracer)
     prev_registry = set_registry(live_registry)
     prev_requests = set_request_tracer(live_requests)

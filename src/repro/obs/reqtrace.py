@@ -11,17 +11,24 @@ request moves through the fleet:
 ::
 
     request #1742 (trace 5f0c...)
-    └─ admit            t=0.10312         tenant=acme shard=2
-       ├─ queue         t=0.10312-0.10original4  depth=3
-       └─ service       t=0.10494-0.11221 tier=full shard=2 replica=0
-          └─ (events: cache=hit, epoch=0)
+    ├─ admit            t=0.10312         shard=2 depth=3
+    ├─ queue            t=0.10312-0.10494 shard=2 epoch=0
+    └─ service          t=0.10494-0.11221 tier=full shard=2 replica=0
+
+The fleet does not build these trees itself. Each of its decisions
+reaches the tracer once, as the decision-log row plus the objects the
+loop holds (:data:`repro.obs.probe.DECISION_FACTS`), and a per-replay
+fold turns them into spans: the root opens at the request's first
+decision and starts at ``arrival_s``, a queue span runs from each admit
+or requeue to the service start, and a service span covers each launch
+window (an analytic answer opens its span on ``degrade``).
 
 Spans carry ``(trace_id, span_id, parent_id)`` like any distributed
 tracer, but timestamps come from the fleet's deterministic event loop —
 so the same seed always produces the identical span tree, and the root
 span of every served request covers exactly ``arrival_s → finish_s``:
-:meth:`RequestTracer.reconcile` asserts that each root duration equals
-the corresponding :attr:`ServingResponse.latency_s` bit-for-bit.
+:meth:`RequestTracer.reconcile` checks each root against the
+:class:`~repro.serving.fleet.FleetResult` response bit-for-bit.
 
 Failover is first-class: a shard kill ends the victim's ``service`` span
 with ``voided=True``, the re-deal shows up as a ``redeal`` event plus a
@@ -35,9 +42,8 @@ request — loadable next to the cycle-track trace in Perfetto; the
 :func:`repro.obs.trace.validate_chrome_trace` schema check accepts them.
 
 When request tracing is off the active tracer is
-:data:`NULL_REQUEST_TRACER`, whose every method is a no-op: the fleet
-pays one ``enabled`` check per trace replay, preserving both the <2%
-disabled-overhead gate and bit-identical replay digests.
+:data:`NULL_REQUEST_TRACER`: the fleet hands it no decision, and its
+:meth:`~NullRequestTracer.activate` is one shared no-op context.
 """
 
 from __future__ import annotations
@@ -46,9 +52,10 @@ import hashlib
 import json
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
+from repro.obs.probe import DecisionSink
 
 __all__ = [
     "Span",
@@ -196,14 +203,13 @@ class RequestTracer:
         """Close an open span at virtual ``end_s`` (idempotent-safe:
         unknown ids are ignored so instrumentation never throws)."""
         trace = self._traces.get(request_id)
-        if trace is None:
+        # Span ids count up from 1 in creation order: id n is spans[n-1].
+        if trace is None or not 0 < span_id <= len(trace.spans):
             return
-        for span in trace.spans:
-            if span.span_id == span_id:
-                span.end_s = float(end_s)
-                if attrs:
-                    span.attrs.update(attrs)
-                return
+        span = trace.spans[span_id - 1]
+        span.end_s = float(end_s)
+        if attrs:
+            span.attrs.update(attrs)
 
     def event(self, request_id: int, name: str, at_s: float,
               parent: Optional[int] = None,
@@ -220,16 +226,24 @@ class RequestTracer:
                  span_id: Optional[int] = None) -> Iterator[None]:
         """Mark (trace_id, span_id) active for the enclosed host work.
 
-        While active, :func:`current_context` resolves to this span, so
-        JSON-lines log records and driver spans emitted underneath carry
-        the request's trace id.
+        ``span_id`` defaults to the request's root span. While active,
+        :func:`current_context` resolves to this span, so JSON-lines log
+        records and driver spans emitted underneath carry the request's
+        trace id.
         """
         trace = self._trace(request_id)
-        _ACTIVE.append((trace.trace_id, int(span_id or 0)))
+        if span_id is None:
+            root = trace.root
+            span_id = root.span_id if root is not None else 0
+        _ACTIVE.append((trace.trace_id, int(span_id)))
         try:
             yield
         finally:
             _ACTIVE.pop()
+
+    def sink(self) -> "_ReplayFold":
+        """A fresh :class:`_ReplayFold` for one fleet replay's decisions."""
+        return _ReplayFold(self)
 
     # ------------------------------------------------------------------
     # reading
@@ -409,6 +423,152 @@ class RequestTracer:
         )
 
 
+class _ReplayFold:
+    """Folds one fleet replay's decisions into the tracer's span trees.
+
+    Holds the replay's open span ids per request: the root, the queue
+    wait, and the last service span (a shard kill truncates it as
+    voided). ``on_<kind>`` handles a decision of that kind, with its
+    facts (:data:`repro.obs.probe.DECISION_FACTS`) as arguments.
+    """
+
+    __slots__ = ("tracer", "root", "queue", "service")
+
+    def __init__(self, tracer: RequestTracer) -> None:
+        self.tracer = tracer
+        self.root: Dict[int, int] = {}
+        self.queue: Dict[int, int] = {}
+        self.service: Dict[int, int] = {}
+
+    def __call__(self, now: float, rid: int, kind: str, info: str,
+                 facts: tuple) -> None:
+        fold = getattr(self, "on_" + kind, None)
+        if fold is not None:
+            fold(now, rid, kind, info, *facts)
+
+    def _root(self, req: Any) -> int:
+        """The request's root span, opened at its first decision."""
+        rid = req.request_id
+        root = self.root.get(rid)
+        if root is None:
+            root = self.root[rid] = self.tracer.begin(
+                rid, "request", req.arrival_s,
+                attrs={
+                    "kernel": req.kernel, "workload": req.workload,
+                    "tenant": req.tenant, "priority": req.priority,
+                },
+            )
+        return root
+
+    def _event(self, now: float, rid: int, name: str, **attrs: object) -> None:
+        self.tracer.event(rid, name, now, parent=self.root.get(rid),
+                          attrs=attrs)
+
+    def _wait(self, now: float, rid: int, shard: int, epoch: int) -> None:
+        self.queue[rid] = self.tracer.begin(
+            rid, "queue", now, parent=self.root.get(rid),
+            attrs={"shard": shard, "epoch": epoch},
+        )
+
+    def _service(self, resp: Any, key: str, value: object) -> None:
+        """Open and close the ``service`` span over the response's
+        virtual service window (its finish is already known — this is a
+        simulation), ending the queue wait at its start."""
+        rid, tracer = resp.request_id, self.tracer
+        queued = self.queue.pop(rid, None)
+        if queued is not None:
+            tracer.end(rid, queued, resp.start_s, attrs={"tier": resp.tier})
+        span = tracer.begin(
+            rid, "service", resp.start_s, parent=self.root.get(rid),
+            attrs={
+                "tier": resp.tier, "shard": resp.shard,
+                "replica": resp.replica, "epoch": resp.epoch, key: value,
+            },
+        )
+        tracer.end(rid, span, resp.finish_s)
+        self.service[rid] = span
+
+    def on_rejected(self, now, rid, kind, info, req) -> None:
+        """Answered unserved (also ``shed`` and ``failed``), for the
+        reason in ``info``."""
+        tracer, root = self.tracer, self._root(req)
+        queued = self.queue.pop(rid, None)
+        if queued is not None:
+            tracer.end(rid, queued, now, attrs={"outcome": kind})
+        tracer.event(rid, kind, now, parent=root, attrs={"reason": info})
+        tracer.end(rid, root, now, attrs={"status": kind})
+
+    on_shed = on_failed = on_rejected
+
+    def on_admit(self, now, rid, kind, info, req, shard, depth, routing):
+        self._root(req)
+        self._event(now, rid, "admit", shard=shard, depth=depth,
+                    routing=routing)
+        self._wait(now, rid, shard, 0)
+
+    def on_requeue(self, now, rid, kind, info, shard, epoch) -> None:
+        self._event(now, rid, "requeue", shard=shard, epoch=epoch)
+        self._wait(now, rid, shard, epoch)
+
+    def on_degrade(self, now, rid, kind, info, resp) -> None:
+        self._service(resp, "reason", resp.detail["reason"])
+
+    def on_dispatch(self, now, rid, kind, info, resp, breaker) -> None:
+        # An analytic dispatch opened its service span on ``degrade``.
+        if resp.replica is not None:
+            self._service(resp, "cache", resp.detail["cache"])
+
+    def on_fault(self, now, rid, kind, info, shard, replica, breaker,
+                 error) -> None:
+        self._event(now, rid, "fault", shard=shard, replica=replica,
+                    error=error)
+
+    def on_complete(self, now, rid, kind, info, resp) -> None:
+        root = self.root.get(rid)
+        if root is not None:
+            # Closed at resp.finish_s (== now): the root span then covers
+            # arrival→finish exactly, which is what reconcile() checks.
+            self.tracer.end(rid, root, resp.finish_s, attrs={
+                "status": resp.status, "tier": resp.tier,
+                "degraded": resp.degraded,
+            })
+
+    def on_stale(self, now, rid, kind, info, resp) -> None:
+        self._event(now, rid, "stale_completion", epoch=resp.epoch,
+                    shard=resp.shard)
+
+    def on_hedge_cancel(self, now, rid, kind, info, resp, role) -> None:
+        self._event(now, rid, "hedge_cancel", role=role, shard=resp.shard)
+
+    def on_duplicate(self, now, rid, kind, info, resp) -> None:
+        self._event(now, rid, "duplicate_completion", shard=resp.shard)
+
+    def on_redeal(self, now, rid, kind, info, shard, epoch) -> None:
+        self._event(now, rid, "redeal", to_shard=shard, epoch=epoch)
+
+    def on_shard_kill(self, now, rid, kind, info, shard, orphans) -> None:
+        # Orphaned queue waits end here; the re-dealt copy opens a fresh
+        # queue span on the survivor.
+        for req, _ in orphans:
+            queued = self.queue.pop(req.request_id, None)
+            if queued is not None:
+                self.tracer.end(req.request_id, queued, now,
+                                attrs={"outcome": "shard_killed"})
+
+    def on_void(self, now, rid, kind, info, shard, epoch) -> None:
+        self._event(now, rid, "void", shard=shard, epoch=epoch)
+        # The in-flight service span never committed: truncate it at the
+        # kill and mark it voided.
+        span = self.service.pop(rid, None)
+        if span is not None:
+            self.tracer.end(rid, span, now, attrs={"voided": True})
+
+
+def _discard(now: float, rid: int, kind: str, info: str,
+             facts: tuple) -> None:
+    """The sink of a disabled tracer: it keeps nothing."""
+
+
 #: The disabled tracer's activation: one shared no-op context, so a
 #: launch with request tracing off builds no generator.
 _NO_ACTIVATION = nullcontext()
@@ -439,6 +599,9 @@ class NullRequestTracer:
     def activate(self, request_id: int,
                  span_id: Optional[int] = None) -> AbstractContextManager:
         return _NO_ACTIVATION
+
+    def sink(self) -> DecisionSink:
+        return _discard
 
     def __len__(self) -> int:
         return 0

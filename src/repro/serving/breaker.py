@@ -16,7 +16,7 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
-#: Stable numeric encoding for the ``serving.breaker_state`` gauge.
+#: Stable numeric encoding of the states (:attr:`CircuitBreaker.state_code`).
 _STATE_CODE = {BREAKER_CLOSED: 0, BREAKER_OPEN: 1, BREAKER_HALF_OPEN: 2}
 
 
@@ -174,7 +174,7 @@ class CircuitBreaker:
 
     @property
     def state_code(self) -> int:
-        """0=closed, 1=open, 2=half-open (for the state gauge)."""
+        """0=closed, 1=open, 2=half-open."""
         return _STATE_CODE[self.state]
 
     def __repr__(self) -> str:

@@ -43,8 +43,6 @@ class ServingConfig:
         half-open probe.
     breaker_halfopen_probes:
         Successful probes required to close a half-open breaker.
-    default_deadline_s:
-        Deadline budget for requests that do not carry their own.
     full_headroom / batched_headroom:
         Fractions of the remaining deadline budget the estimated service
         time must fit inside to stay at the full / batched tier. Misses
@@ -53,7 +51,7 @@ class ServingConfig:
     degrade_queue_depth:
         Queue backlog at or above which dispatch skips the full tier
         outright (load-based degradation, independent of deadlines).
-    hedge_enabled / hedge_trigger:
+    hedge_trigger:
         Launch a backup copy on the least-loaded idle replica when the
         primary's (deterministically jittered) service time exceeds
         ``hedge_trigger`` times the nominal estimate; first finisher
@@ -84,11 +82,9 @@ class ServingConfig:
     breaker_failure_threshold: int = 3
     breaker_cooldown_s: float = 0.02
     breaker_halfopen_probes: int = 1
-    default_deadline_s: float = 0.05
     full_headroom: float = 0.8
     batched_headroom: float = 0.9
     degrade_queue_depth: int = 6
-    hedge_enabled: bool = True
     hedge_trigger: float = 1.6
     service_jitter: float = 0.25
     full_base_s: float = 2.0e-3
@@ -111,8 +107,6 @@ class ServingConfig:
             raise ConfigError("breaker_cooldown_s must be non-negative")
         if self.breaker_halfopen_probes <= 0:
             raise ConfigError("breaker_halfopen_probes must be positive")
-        if self.default_deadline_s <= 0:
-            raise ConfigError("default_deadline_s must be positive")
         if not 0 < self.full_headroom <= 1 or not 0 < self.batched_headroom <= 1:
             raise ConfigError("headroom fractions must be in (0, 1]")
         if self.hedge_trigger < 1:

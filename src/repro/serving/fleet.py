@@ -39,9 +39,12 @@ Robustness substrate on top of the routing:
   response and counted in :attr:`FleetResult.admitted_evictions`
   (never silently dropped, never served twice).
 
-Everything runs on the same deterministic virtual-time event loop the
-single server uses: the decision log replays bit-identically per seed,
-kills included.
+Everything runs on one deterministic virtual-time event loop: the
+decision log replays bit-identically per seed, kills included. Each
+decision is reported once, through the loop's ``record``, which hands
+the row and the objects it is about to the observers installed for the
+replay: the request tracer folds them into span trees and the chaos
+probe keeps them (:mod:`repro.obs.probe`).
 """
 
 from __future__ import annotations
@@ -536,8 +539,6 @@ class TensaurusFleet:
         """
         cfg = self.config
         met = obs.metrics()
-        rt = obs.request_tracer()
-        pr = obs.probe()
         admitted_c = met.counter("fleet.admitted")
         rejected_c = met.counter("fleet.rejected")
         routed_c = met.counter("fleet.routed", labels=("shard",))
@@ -566,11 +567,11 @@ class TensaurusFleet:
         epoch: Dict[int, int] = {}
         inflight: Dict[int, Tuple[ServingRequest, int, int]] = {}
         log = result.decision_log
-        # Request-trace bookkeeping (empty and untouched when tracing is
-        # off — every rt call below is guarded by ``rt.enabled``).
-        root_span: Dict[int, int] = {}
-        queue_span: Dict[int, int] = {}
-        service_span: Dict[int, int] = {}
+        # The observers installed for this replay, read once. Each hands
+        # out a sink that only reads the decisions ``record`` passes it
+        # and dies with this call; a disabled one gets nothing.
+        rt = obs.request_tracer()
+        sinks = [o.sink() for o in (rt, obs.probe()) if o.enabled]
 
         events: List[Tuple[float, int, int, Any]] = []
         seq = 0
@@ -607,8 +608,14 @@ class TensaurusFleet:
         wake_at: Dict[int, float] = {}
         fairness_key = self.governor.fairness_key
 
-        def record(now: float, rid: int, event: str, info: str = "") -> None:
-            log.append((round(now, 12), rid, event, info))
+        def record(now: float, rid: int, kind: str, info: str = "",
+                   *facts: Any) -> None:
+            """Append one decision's log row and hand it, with the facts
+            ``repro.obs.probe.DECISION_FACTS`` names, to the sinks."""
+            log.append((round(now, 12), rid, kind, info))
+            if sinks:
+                for sink in sinks:
+                    sink(now, rid, kind, info, facts)
 
         def reject(req: ServingRequest, now: float, status: str,
                    reason: str, retry_after: float = 0.0) -> None:
@@ -619,34 +626,13 @@ class TensaurusFleet:
             )
             counters["shed" if status == STATUS_SHED else "rejected"] += 1
             rejected_c.inc()
-            record(now, req.request_id, status, reason)
-            if pr.enabled:
-                pr.emit("reject", rid=req.request_id, status=status,
-                        reason=reason, t=round(now, 12))
-            if rt.enabled:
-                rid = req.request_id
-                qs = queue_span.pop(rid, None)
-                if qs is not None:
-                    rt.end(rid, qs, now, attrs={"outcome": status})
-                root = root_span.get(rid)
-                rt.event(rid, status, now, parent=root,
-                         attrs={"reason": reason})
-                if root is not None:
-                    rt.end(rid, root, now, attrs={"status": status})
+            record(now, req.request_id, status, reason, req)
 
         def nominal_s(shard: FleetShard, tier: str, nnz: int) -> float:
             return shard.server._nominal_s(tier, nnz)
 
         # -------------------------------------------------- admission
         def arrival(req: ServingRequest, now: float) -> None:
-            if rt.enabled:
-                root_span[req.request_id] = rt.begin(
-                    req.request_id, "request", req.arrival_s,
-                    attrs={
-                        "kernel": req.kernel, "workload": req.workload,
-                        "tenant": req.tenant, "priority": req.priority,
-                    },
-                )
             ok, retry_after = self.governor.admit(req.tenant, now)
             if not ok:
                 reject(req, now, STATUS_REJECTED, "tenant_quota",
@@ -673,22 +659,10 @@ class TensaurusFleet:
             counters["admitted"] += 1
             admitted_c.inc()
             routed_c.labels(shard=shard.sid).inc()
+            depth = len(shard.queue)
             record(now, req.request_id, "admit",
-                   f"tenant={req.tenant} shard={shard.sid} "
-                   f"depth={len(shard.queue)}")
-            if pr.enabled:
-                pr.emit("admit", rid=req.request_id, tenant=req.tenant,
-                        shard=shard.sid, t=round(now, 12))
-            if rt.enabled:
-                rid = req.request_id
-                rt.event(rid, "admit", now, parent=root_span.get(rid),
-                         attrs={"shard": shard.sid,
-                                "depth": len(shard.queue),
-                                "routing": cfg.routing})
-                queue_span[rid] = rt.begin(
-                    rid, "queue", now, parent=root_span.get(rid),
-                    attrs={"shard": shard.sid, "epoch": 0},
-                )
+                   f"tenant={req.tenant} shard={shard.sid} depth={depth}",
+                   req, shard.sid, depth, cfg.routing)
 
         # -------------------------------------------------- dispatch
         def choose_tier(shard: FleetShard, req: ServingRequest,
@@ -715,46 +689,33 @@ class TensaurusFleet:
         def analytic_response(
             req: ServingRequest, item, shard: FleetShard, now: float,
             start: float, ep: int, reason: str,
-        ) -> Tuple[ServingResponse, float]:
+        ) -> ServingResponse:
+            """Answer host-side from the analytic model, starting at
+            ``start``, and schedule the answer's completion."""
             counters["analytic_fallbacks"] += 1
             report, _, err = self.ladder.execute(
                 TIER_ANALYTIC, item, req.kernel
             )
             service = nominal_s(shard, TIER_ANALYTIC, item.nnz)
-            finish = start + service
-            record(now, req.request_id, "degrade", f"analytic:{reason}")
-            return (
-                ServingResponse(
-                    request_id=req.request_id, status=STATUS_OK,
-                    tier=TIER_ANALYTIC, degraded=True, error_bound=err,
-                    shard=shard.sid, epoch=ep, replica=None,
-                    arrival_s=req.arrival_s, start_s=start,
-                    finish_s=finish, deadline_s=req.deadline_s,
-                    report=report, detail={"reason": reason},
-                ),
-                service,
+            resp = ServingResponse(
+                request_id=req.request_id, status=STATUS_OK,
+                tier=TIER_ANALYTIC, degraded=True, error_bound=err,
+                shard=shard.sid, epoch=ep, replica=None,
+                arrival_s=req.arrival_s, start_s=start,
+                finish_s=start + service, deadline_s=req.deadline_s,
+                report=report, detail={"reason": reason},
             )
-
-        def note_service(resp: ServingResponse, **extra: object) -> None:
-            """Open+close the request's ``service`` span over the
-            virtual service window (the finish time is already known —
-            this is a simulation). The span id is kept so a shard kill
-            can amend it (``voided=True``, truncated at the kill)."""
-            rid = resp.request_id
-            qs = queue_span.pop(rid, None)
-            if qs is not None:
-                rt.end(rid, qs, resp.start_s, attrs={"tier": resp.tier})
-            sid = rt.begin(
-                rid, "service", resp.start_s,
-                parent=root_span.get(rid),
-                attrs={
-                    "tier": resp.tier, "shard": resp.shard,
-                    "replica": resp.replica, "epoch": resp.epoch,
-                    **extra,
-                },
-            )
-            rt.end(rid, sid, resp.finish_s)
-            service_span[rid] = sid
+            record(now, req.request_id, "degrade", f"analytic:{reason}",
+                   resp)
+            inflight[req.request_id] = (req, shard.sid, ep)
+            # replica=None in the payload: the answer is host-side
+            # analytic. After a fault, record_failure already settled the
+            # breaker (and released any half-open probe slot) — crediting
+            # the faulted replica with a success here would reset
+            # consecutive_failures and keep the breaker from ever opening.
+            push(resp.finish_s, _EV_COMPLETION,
+                 (req.request_id, ep, shard.sid, None, resp, service))
+            return resp
 
         def dispatch(shard: FleetShard, req: ServingRequest, ep: int,
                      now: float) -> None:
@@ -762,19 +723,10 @@ class TensaurusFleet:
             tier = choose_tier(shard, req, now, item.nnz)
             rid = req.request_id
             if tier == TIER_ANALYTIC:
-                resp, service = analytic_response(
-                    req, item, shard, now, now, ep, "tier"
-                )
-                inflight[rid] = (req, shard.sid, ep)
-                push(resp.finish_s, _EV_COMPLETION,
-                     (rid, ep, shard.sid, None, resp, service))
-                record(now, rid, "dispatch", f"{TIER_ANALYTIC}@{shard.sid}")
-                if pr.enabled:
-                    pr.emit("launch", rid=rid, shard=shard.sid,
-                            replica=None, tier=TIER_ANALYTIC, epoch=ep,
-                            breaker=None, t=round(now, 12))
-                if rt.enabled:
-                    note_service(resp, reason="tier")
+                resp = analytic_response(req, item, shard, now, now, ep,
+                                         "tier")
+                record(now, rid, "dispatch", f"{TIER_ANALYTIC}@{shard.sid}",
+                       resp, None)
                 return
             idle = shard.idle_replicas(now)
             breakers = shard.server.breakers
@@ -782,18 +734,8 @@ class TensaurusFleet:
             if not allowed:
                 # Every reachable replica's breaker refused: host-side
                 # analytic answer, no backend consumed.
-                resp, service = analytic_response(
-                    req, item, shard, now, now, ep, "breakers_open"
-                )
-                inflight[rid] = (req, shard.sid, ep)
-                push(resp.finish_s, _EV_COMPLETION,
-                     (rid, ep, shard.sid, None, resp, service))
-                if pr.enabled:
-                    pr.emit("launch", rid=rid, shard=shard.sid,
-                            replica=None, tier=TIER_ANALYTIC, epoch=ep,
-                            breaker=None, t=round(now, 12))
-                if rt.enabled:
-                    note_service(resp, reason="breakers_open")
+                analytic_response(req, item, shard, now, now, ep,
+                                  "breakers_open")
                 return
             replica = min(allowed)
             # Breaker state the instant the launch lands (allow() above
@@ -801,10 +743,6 @@ class TensaurusFleet:
             # so a probe stream showing "open" here is a real violation).
             launch_state = breakers[replica].state
             breakers[replica].start_probe(now)
-            if pr.enabled:
-                pr.emit("launch", rid=rid, shard=shard.sid,
-                        replica=replica, tier=tier, epoch=ep,
-                        breaker=launch_state, t=round(now, 12))
             nominal = nominal_s(shard, tier, item.nnz)
             factor = shard.server._speed_factor(rid, replica, "primary")
             hit = shard.warm_touch(
@@ -819,8 +757,7 @@ class TensaurusFleet:
                 # included), so per-shard flamegraphs separate; activate
                 # threads the request's trace id into log records and
                 # driver spans emitted underneath.
-                with obs.tracer().bind(shard=shard.sid), \
-                        rt.activate(rid, root_span.get(rid)):
+                with obs.tracer().bind(shard=shard.sid), rt.activate(rid):
                     report, degraded, err = self.ladder.execute(
                         tier, item, req.kernel,
                         shard.server.accelerators[replica],
@@ -831,29 +768,11 @@ class TensaurusFleet:
                 detect = now + _FAULT_DETECT_FRACTION * nominal * factor
                 shard.free_at[replica] = detect
                 push(detect, _EV_KICK, None)
+                error = type(exc).__name__
                 record(now, rid, "fault",
-                       f"shard={shard.sid}:{replica}:"
-                       f"{type(exc).__name__}")
-                resp, service = analytic_response(
-                    req, item, shard, now, detect, ep, "fault"
-                )
-                inflight[rid] = (req, shard.sid, ep)
-                # replica=None in the payload: the fallback answer is
-                # host-side analytic, and record_failure above already
-                # settled the breaker (and released any half-open probe
-                # slot) — crediting the faulted replica with a success
-                # here would reset consecutive_failures and keep the
-                # breaker from ever opening.
-                push(resp.finish_s, _EV_COMPLETION,
-                     (rid, ep, shard.sid, None, resp, service))
-                if pr.enabled:
-                    pr.emit("fault", rid=rid, shard=shard.sid,
-                            replica=replica, epoch=ep, t=round(now, 12))
-                if rt.enabled:
-                    rt.event(rid, "fault", now, parent=root_span.get(rid),
-                             attrs={"shard": shard.sid, "replica": replica,
-                                    "error": type(exc).__name__})
-                    note_service(resp, reason="fault")
+                       f"shard={shard.sid}:{replica}:{error}",
+                       shard.sid, replica, launch_state, error)
+                analytic_response(req, item, shard, now, detect, ep, "fault")
                 return
             service = nominal * factor + cold_extra + report.time_s
             finish = now + service
@@ -914,12 +833,8 @@ class TensaurusFleet:
                           hedge_finish - now, "hedge", replica,
                           hedge_start))
                     record(now, rid, "hedge",
-                           f"shard={shard.sid} twin={twin}")
-                    if pr.enabled:
-                        pr.emit("hedge_launch", rid=rid, shard=shard.sid,
-                                replica=twin, epoch=ep,
-                                breaker=shard.server.breakers[twin].state,
-                                t=round(hedge_start, 12))
+                           f"shard={shard.sid} twin={twin}",
+                           hedge_resp, breakers[twin].state)
             if twin is not None:
                 resp = replace(resp, hedged=True)
                 push(finish, _EV_COMPLETION,
@@ -930,9 +845,8 @@ class TensaurusFleet:
                      (rid, ep, shard.sid, replica, resp, service))
             record(now, rid, "dispatch",
                    f"{tier}@{shard.sid}:{replica} "
-                   f"cache={'hit' if hit else 'cold'}")
-            if rt.enabled:
-                note_service(resp, cache="hit" if hit else "cold")
+                   f"cache={'hit' if hit else 'cold'}",
+                   resp, launch_state)
 
         def dispatch_all(now: float) -> None:
             """Dispatch on every touched or due shard, in shard-id order
@@ -973,14 +887,7 @@ class TensaurusFleet:
             hedge_start = payload[8] if len(payload) > 6 else 0.0
             if epoch.get(rid, 0) != ep:
                 counters["stale_completions"] += 1
-                record(now, rid, "stale", f"epoch={ep} shard={sid}")
-                if pr.enabled:
-                    pr.emit("stale", rid=rid, epoch=ep, shard=sid,
-                            t=round(now, 12))
-                if rt.enabled:
-                    rt.event(rid, "stale_completion", now,
-                             parent=root_span.get(rid),
-                             attrs={"epoch": ep, "shard": sid})
+                record(now, rid, "stale", f"epoch={ep} shard={sid}", resp)
                 return
             prior = responses.get(rid)
             if prior is not None and prior.status == STATUS_OK:
@@ -989,24 +896,11 @@ class TensaurusFleet:
                     # its twin already committed, so this event resolves
                     # as a cancellation, never as a duplicate commit.
                     counters["hedge_cancelled"] += 1
-                    record(now, rid, "hedge_cancel", f"{role}@{sid}")
-                    if pr.enabled:
-                        pr.emit("hedge_cancel", rid=rid, role=role,
-                                shard=sid, epoch=ep, t=round(now, 12))
-                    if rt.enabled:
-                        rt.event(rid, "hedge_cancel", now,
-                                 parent=root_span.get(rid),
-                                 attrs={"role": role, "shard": sid})
+                    record(now, rid, "hedge_cancel", f"{role}@{sid}",
+                           resp, role)
                     return
                 counters["duplicate_completions"] += 1
-                record(now, rid, "duplicate", f"shard={sid}")
-                if pr.enabled:
-                    pr.emit("duplicate", rid=rid, epoch=ep, shard=sid,
-                            t=round(now, 12))
-                if rt.enabled:
-                    rt.event(rid, "duplicate_completion", now,
-                             parent=root_span.get(rid),
-                             attrs={"shard": sid})
+                record(now, rid, "duplicate", f"shard={sid}", resp)
                 return
             if role == "hedge":
                 counters["hedge_wins"] += 1
@@ -1041,30 +935,13 @@ class TensaurusFleet:
                 counters["degraded"] += 1
             if resp.latency_s is not None:
                 latency_h.observe(resp.latency_s)
-            self.governor.charge(resp_tenant(resp, rid), service)
+            self.governor.charge(tenant_of.get(rid, "default"), service)
             record(now, rid, "complete",
-                   f"{resp.tier}@{sid} epoch={ep}")
-            if pr.enabled:
-                pr.emit("commit", rid=rid, epoch=ep, shard=sid,
-                        replica=replica, tier=resp.tier,
-                        degraded=resp.degraded, t=round(now, 12))
-            if rt.enabled:
-                root = root_span.get(rid)
-                if root is not None:
-                    # Closed at resp.finish_s (== now): the root span
-                    # then covers arrival→finish exactly, which is what
-                    # reconcile() checks against FleetResult latencies.
-                    rt.end(rid, root, resp.finish_s,
-                           attrs={"status": resp.status,
-                                  "tier": resp.tier,
-                                  "degraded": resp.degraded})
+                   f"{resp.tier}@{sid} epoch={ep}", resp)
 
         tenant_of: Dict[int, str] = {
             r.request_id: r.tenant for r in requests
         }
-
-        def resp_tenant(resp: ServingResponse, rid: int) -> str:
-            return tenant_of.get(rid, "default")
 
         # -------------------------------------------------- failover
         def redeal(orphans: List[Tuple[ServingRequest, int]],
@@ -1096,16 +973,8 @@ class TensaurusFleet:
                         deadline_s=req.deadline_s,
                         detail={"reason": "redeal_overflow"},
                     )
-                    record(now, req.request_id, "failed",
-                           "redeal_overflow")
-                    if rt.enabled:
-                        orid = req.request_id
-                        root = root_span.get(orid)
-                        rt.event(orid, "failed", now, parent=root,
-                                 attrs={"reason": "redeal_overflow"})
-                        if root is not None:
-                            rt.end(orid, root, now,
-                                   attrs={"status": STATUS_FAILED})
+                    record(now, req.request_id, STATUS_FAILED,
+                           "redeal_overflow", req)
             by_rid = {req.request_id: (req, ep) for req, ep in orphans}
             weights = {
                 rid: self.pool[req.workload].nnz
@@ -1134,11 +1003,7 @@ class TensaurusFleet:
                     deliveries.append((sid, req, ep))
                     counters["redeals"] += 1
                     redeal_c.inc()
-                    record(now, rid, "redeal", f"shard={sid}")
-                    if rt.enabled:
-                        rt.event(rid, "redeal", now,
-                                 parent=root_span.get(rid),
-                                 attrs={"to_shard": sid, "epoch": ep})
+                    record(now, rid, "redeal", f"shard={sid}", sid, ep)
             if deliveries:
                 push(now + cfg.failover_detect_s, _EV_REDEAL, deliveries)
 
@@ -1160,19 +1025,10 @@ class TensaurusFleet:
                 result.fault_events.append(
                     FaultEvent(SHARD_KILL, ("shard", sid))
                 )
-                record(now, -1, "shard_kill", f"shard={sid}")
-                if pr.enabled:
-                    pr.emit("shard_kill", shard=sid, t=round(now, 12))
-                orphans = list(shard.queue)
+                queued = tuple(shard.queue)
                 shard.queue.clear()
-                if rt.enabled:
-                    # Orphaned queue waits end here; the re-dealt copy
-                    # opens a fresh queue span on the survivor.
-                    for oreq, _oep in orphans:
-                        qs = queue_span.pop(oreq.request_id, None)
-                        if qs is not None:
-                            rt.end(oreq.request_id, qs, now,
-                                   attrs={"outcome": "shard_killed"})
+                record(now, -1, "shard_kill", f"shard={sid}", sid, queued)
+                orphans = list(queued)
                 # Void the dead shard's in-flight work: bumping the
                 # epoch turns its already-scheduled completions into
                 # stale events, so only the re-dealt copy can commit
@@ -1185,19 +1041,8 @@ class TensaurusFleet:
                     orphans.append((req, iep + 1))
                     del inflight[rid]
                     counters["voided_inflight"] += 1
-                    record(now, rid, "void", f"epoch={iep + 1}")
-                    if pr.enabled:
-                        pr.emit("void", rid=rid, shard=sid,
-                                epoch=iep + 1, t=round(now, 12))
-                    if rt.enabled:
-                        rt.event(rid, "void", now,
-                                 parent=root_span.get(rid),
-                                 attrs={"shard": sid, "epoch": iep + 1})
-                        # The in-flight service span never committed:
-                        # truncate it at the kill and mark it voided.
-                        ss = service_span.pop(rid, None)
-                        if ss is not None:
-                            rt.end(rid, ss, now, attrs={"voided": True})
+                    record(now, rid, "void", f"epoch={iep + 1}", sid,
+                           iep + 1)
                 # Autoscale ticks only assess routable shards, so the
                 # dead transition must be recorded here or never.
                 h = self.monitor.assess(
@@ -1228,19 +1073,8 @@ class TensaurusFleet:
                 shard.queue.append(req, ep)
                 touched.add(sid)
                 shard.stats["routed"] += 1
-                record(now, req.request_id, "requeue", f"shard={sid}")
-                if pr.enabled:
-                    pr.emit("requeue", rid=req.request_id, shard=sid,
-                            epoch=ep, t=round(now, 12))
-                if rt.enabled:
-                    rid = req.request_id
-                    rt.event(rid, "requeue", now,
-                             parent=root_span.get(rid),
-                             attrs={"shard": sid, "epoch": ep})
-                    queue_span[rid] = rt.begin(
-                        rid, "queue", now, parent=root_span.get(rid),
-                        attrs={"shard": sid, "epoch": ep},
-                    )
+                record(now, req.request_id, "requeue", f"shard={sid}",
+                       sid, ep)
             if bounce:
                 redeal(bounce, now)
 
@@ -1310,10 +1144,8 @@ class TensaurusFleet:
                     )
                     record(now, -1, "scale_down",
                            f"shard={victim.sid} "
-                           f"breakers={','.join(handoff['breakers'])}")
-                    if pr.enabled:
-                        pr.emit("drain", shard=victim.sid,
-                                t=round(now, 12))
+                           f"breakers={','.join(handoff['breakers'])}",
+                           victim.sid)
             if now + cfg.autoscale_interval_s <= horizon_end:
                 push(now + cfg.autoscale_interval_s, _EV_TICK, None)
 

@@ -16,7 +16,8 @@ baseline): token-bucket admission with ``retry_after`` hints, a bounded
 priority queue with low-priority eviction, deadline-feasibility
 shedding at dispatch, the three-tier degradation ladder, per-replica
 circuit breakers with host-side analytic fallback, and hedged launches
-with first-wins cancellation accounting.
+with first-wins cancellation accounting. The server keeps its decision
+log but reports to no observer; the fleet's loop is the observed one.
 """
 
 from __future__ import annotations
@@ -233,16 +234,6 @@ class TensaurusServer:
     def run_trace(self, requests: Sequence[ServingRequest]) -> ServingResult:
         """Replay ``requests`` through the virtual-time event loop."""
         cfg = self.config
-        met = obs.metrics()
-        rt = obs.request_tracer()
-        pr = obs.probe()
-        admitted_c = met.counter("serving.admitted")
-        shed_c = met.counter("serving.shed")
-        degraded_c = met.counter("serving.degraded")
-        hedged_c = met.counter("serving.hedged")
-        latency_h = met.histogram("serving.latency_seconds")
-        breaker_g = met.gauge("serving.breaker_state", labels=("replica",))
-
         result = ServingResult(
             analytic_error_bound=self.ladder.analytic_error_bound
         )
@@ -264,10 +255,6 @@ class TensaurusServer:
         # Bounded priority queue of waiting requests.
         queue: List[ServingRequest] = []
         free_at = [0.0] * cfg.replicas
-        # Request-trace bookkeeping (untouched when tracing is off).
-        root_span: Dict[int, int] = {}
-        queue_span: Dict[int, int] = {}
-        service_span: Dict[int, int] = {}
 
         def record(now: float, rid: int, event: str, info: str = "") -> None:
             log.append((round(now, 12), rid, event, info))
@@ -280,39 +267,15 @@ class TensaurusServer:
                 retry_after_s=retry_after, detail={"reason": reason},
             )
             counters["shed" if status == STATUS_SHED else "rejected"] += 1
-            shed_c.inc()
             record(now, req.request_id, status, reason)
-            if rt.enabled:
-                rid = req.request_id
-                qs = queue_span.pop(rid, None)
-                if qs is not None:
-                    rt.end(rid, qs, now, attrs={"outcome": status})
-                root = root_span.get(rid)
-                rt.event(rid, status, now, parent=root,
-                         attrs={"reason": reason})
-                if root is not None:
-                    rt.end(rid, root, now, attrs={"status": status})
 
         def arrival(req: ServingRequest, now: float) -> None:
-            if rt.enabled:
-                root_span[req.request_id] = rt.begin(
-                    req.request_id, "request", req.arrival_s,
-                    attrs={
-                        "kernel": req.kernel, "workload": req.workload,
-                        "tenant": req.tenant, "priority": req.priority,
-                    },
-                )
             if self.draining:
                 shed(req, now, STATUS_REJECTED, "draining")
                 return
             if not cfg.shedding:
                 queue.append(req)
                 record(now, req.request_id, "enqueue", "naive")
-                if rt.enabled:
-                    queue_span[req.request_id] = rt.begin(
-                        req.request_id, "queue", now,
-                        parent=root_span.get(req.request_id),
-                    )
                 return
             ok, retry_after = self.bucket.try_acquire(now)
             if not ok:
@@ -331,15 +294,7 @@ class TensaurusServer:
                     return
             queue.append(req)
             counters["admitted"] += 1
-            admitted_c.inc()
             record(now, req.request_id, "admit", f"depth={len(queue)}")
-            if rt.enabled:
-                rid = req.request_id
-                rt.event(rid, "admit", now, parent=root_span.get(rid),
-                         attrs={"depth": len(queue)})
-                queue_span[rid] = rt.begin(
-                    rid, "queue", now, parent=root_span.get(rid)
-                )
 
         def pick_queued(now: float) -> ServingRequest:
             if not cfg.shedding:
@@ -380,59 +335,27 @@ class TensaurusServer:
                 counters["served"] += 1
                 if resp.degraded:
                     counters["degraded"] += 1
-                    degraded_c.inc()
-                if resp.latency_s is not None:
-                    latency_h.observe(resp.latency_s)
             else:
                 counters["failed"] += 1
-            if rt.enabled:
-                rid = req.request_id
-                root = root_span.get(rid)
-                if resp.start_s is not None and resp.finish_s is not None:
-                    qs = queue_span.pop(rid, None)
-                    if qs is not None:
-                        rt.end(rid, qs, resp.start_s,
-                               attrs={"tier": resp.tier})
-                    sid = rt.begin(
-                        rid, "service", resp.start_s, parent=root,
-                        attrs={"tier": resp.tier, "replica": resp.replica,
-                               "hedged": resp.hedged},
-                    )
-                    rt.end(rid, sid, resp.finish_s)
-                    service_span[rid] = sid
-                if root is not None and resp.finish_s is not None:
-                    rt.end(rid, root, resp.finish_s,
-                           attrs={"status": resp.status, "tier": resp.tier,
-                                  "degraded": resp.degraded})
 
         def run_analytic(req: ServingRequest, item, now: float,
-                         start: float, reason: str) -> ServingResponse:
+                         start: float, reason: str) -> None:
+            """Answer host-side from the analytic model."""
             counters["analytic_fallbacks"] += 1
             report, _, err = self.ladder.execute(
                 TIER_ANALYTIC, item, req.kernel
             )
             finish = start + self._nominal_s(TIER_ANALYTIC, item.nnz)
             record(now, req.request_id, "degrade", f"analytic:{reason}")
-            return ServingResponse(
+            finish_response(ServingResponse(
                 request_id=req.request_id, status=STATUS_OK,
                 tier=TIER_ANALYTIC, degraded=True,
                 error_bound=self.ladder.analytic_error_bound,
                 replica=None, arrival_s=req.arrival_s, start_s=start,
                 finish_s=finish, deadline_s=req.deadline_s, report=report,
                 detail={"reason": reason},
-            )
-
-        def dispatch(req: ServingRequest, now: float) -> None:
-            item = self.pool[req.workload]
-            tier = choose_tier(req, now, item.nnz)
-            if tier is None:
-                shed(req, now, STATUS_SHED, "deadline_infeasible")
-                return
-            with obs.tracer().span(
-                "serving.dispatch",
-                args={"request": req.request_id, "tier": tier},
-            ):
-                _dispatch_at_tier(req, item, tier, now)
+            ), req)
+            record(now, req.request_id, "complete", TIER_ANALYTIC)
 
         def _idle_replicas(now: float, exclude: int = -1) -> List[int]:
             return [
@@ -440,33 +363,26 @@ class TensaurusServer:
                 if free_at[i] <= now + 1e-15 and i != exclude
             ]
 
-        def _dispatch_at_tier(req: ServingRequest, item, tier: str,
-                              now: float) -> None:
+        def dispatch(req: ServingRequest, now: float) -> None:
+            item = self.pool[req.workload]
+            tier = choose_tier(req, now, item.nnz)
+            if tier is None:
+                shed(req, now, STATUS_SHED, "deadline_infeasible")
+                return
             if tier == TIER_ANALYTIC:
-                finish_response(run_analytic(req, item, now, now, "tier"), req)
-                record(now, req.request_id, "complete", TIER_ANALYTIC)
+                run_analytic(req, item, now, now, "tier")
                 return
             idle = _idle_replicas(now)
             allowed = [
                 i for i in idle
                 if not cfg.shedding or self.breakers[i].allow(now)
             ]
-            for i in range(cfg.replicas):
-                breaker_g.labels(replica=i).set(self.breakers[i].state_code)
             if not allowed:
                 # Every reachable backend's breaker is open: answer from
                 # the host-side analytic model instead of queueing.
-                finish_response(
-                    run_analytic(req, item, now, now, "breakers_open"), req
-                )
-                record(now, req.request_id, "complete", "analytic")
+                run_analytic(req, item, now, now, "breakers_open")
                 return
             replica = min(allowed)
-            if pr.enabled:
-                pr.emit("launch", rid=req.request_id, shard=None,
-                        replica=replica, tier=tier, epoch=0,
-                        breaker=self.breakers[replica].state,
-                        t=round(now, 12))
             if cfg.shedding:
                 # Half-open breakers admit one probe at a time; the
                 # reservation frees on record_success/record_failure.
@@ -474,32 +390,19 @@ class TensaurusServer:
             nominal = self._nominal_s(tier, item.nnz)
             factor = self._speed_factor(req.request_id, replica, "primary")
             try:
-                with rt.activate(req.request_id,
-                                 root_span.get(req.request_id)):
-                    report, degraded, err = self.ladder.execute(
-                        tier, item, req.kernel, self.accelerators[replica]
-                    )
+                report, degraded, err = self.ladder.execute(
+                    tier, item, req.kernel, self.accelerators[replica]
+                )
             except FaultError as exc:
                 counters["faults"] += 1
                 self.breakers[replica].record_failure(now)
-                breaker_g.labels(replica=replica).set(
-                    self.breakers[replica].state_code
-                )
                 detect = now + _FAULT_DETECT_FRACTION * nominal * factor
                 free_at[replica] = detect
                 _push_free_event(detect)
                 record(now, req.request_id, "fault",
                        f"replica={replica}:{type(exc).__name__}")
-                if rt.enabled:
-                    rt.event(req.request_id, "fault", now,
-                             parent=root_span.get(req.request_id),
-                             attrs={"replica": replica,
-                                    "error": type(exc).__name__})
                 if cfg.shedding:
-                    finish_response(
-                        run_analytic(req, item, now, detect, "fault"), req
-                    )
-                    record(now, req.request_id, "complete", "analytic")
+                    run_analytic(req, item, now, detect, "fault")
                 else:
                     finish_response(
                         ServingResponse(
@@ -521,7 +424,6 @@ class TensaurusServer:
             hedge_replica: Optional[int] = None
             if (
                 cfg.shedding
-                and cfg.hedge_enabled
                 and tier == TIER_FULL
                 and nominal * factor > cfg.hedge_trigger * nominal
             ):
@@ -544,7 +446,6 @@ class TensaurusServer:
                     )
                     hedged = True
                     counters["hedged"] += 1
-                    hedged_c.inc()
                     # First-wins: the loser is cancelled at the winner's
                     # completion; both replicas are busy until then.
                     finish = min(primary_finish, hedge_finish)
@@ -558,11 +459,6 @@ class TensaurusServer:
                     _push_free_event(finish)
                     record(now, req.request_id, "hedge",
                            f"replica={hedge_replica} won={hedge_won}")
-                    if pr.enabled:
-                        pr.emit("hedge_launch", rid=req.request_id,
-                                shard=None, replica=hedge_replica, epoch=0,
-                                breaker=self.breakers[hedge_replica].state,
-                                t=round(hedge_start, 12))
             free_at[replica] = finish
             _push_free_event(finish)
             finish_response(
@@ -578,17 +474,6 @@ class TensaurusServer:
             )
             record(now, req.request_id, "complete",
                    f"{tier}@{hedge_replica if hedge_won else replica}")
-            if hedged and rt.enabled:
-                # The hedge overlaps the primary (first-wins) — recorded
-                # as a child of the service span; Chrome export uses "X"
-                # complete events, so the overlap is representable.
-                hid = rt.begin(
-                    req.request_id, "hedge", hedge_start,
-                    parent=service_span.get(req.request_id),
-                    attrs={"replica": hedge_replica},
-                )
-                rt.end(req.request_id, hid, finish,
-                       attrs={"won": hedge_won})
 
         def _push_free_event(when: float) -> None:
             nonlocal seq
@@ -601,13 +486,11 @@ class TensaurusServer:
             while queue and _idle_replicas(now):
                 dispatch(pick_queued(now), now)
 
-        with obs.tracer().span("serving.trace",
-                               args={"requests": len(requests)}):
-            while events:
-                now, _, kind, payload = heapq.heappop(events)
-                if kind == 0:
-                    arrival(payload, now)
-                try_dispatch(now)
+        while events:
+            now, _, kind, payload = heapq.heappop(events)
+            if kind == 0:
+                arrival(payload, now)
+            try_dispatch(now)
 
         result.responses = [responses[r.request_id] for r in
                             sorted(requests, key=lambda r: r.request_id)]

@@ -73,7 +73,8 @@ from repro.sim.report import SimReport
 from repro.sim.tiling import TilingPlan, make_plan
 from repro.tensor import SparseTensor
 from repro.util.arrays import count_distinct
-from repro.util.errors import KernelError
+from repro.util.errors import KernelError, ShapeError
+from repro.util.validation import check_shape_match
 
 MatrixLike = Union[CSRMatrix, COOMatrix, np.ndarray]
 
@@ -107,6 +108,30 @@ def _extents(extent: int, tile: int) -> np.ndarray:
     """Extent of each ``tile``-wide block along an axis, the edge block
     clipped."""
     return np.minimum(tile, extent - np.arange(0, extent, tile))
+
+
+def _check_operands(
+    spec: KernelSpec,
+    shape: Tuple[int, ...],
+    dense: List[np.ndarray],
+    mode: int,
+    is_dense: bool,
+) -> None:
+    """The kernels' shape rule for B, C and x, and no empty j or k axis on
+    a dense tensor (its tile grid would have no tiles to price)."""
+    if spec.order == 3:
+        rest = [m for m in range(3) if m != mode]
+        for m, mat in zip(rest, dense):
+            check_shape_match(
+                f"tensor mode {m}", shape[m], "factor rows", mat.shape[0]
+            )
+        if is_dense and 0 in (shape[m] for m in rest):
+            raise ShapeError(
+                f"dense tensor of shape {shape} has an empty j or k axis"
+            )
+    else:
+        other = "B rows" if spec.name == "spmm" else "x length"
+        check_shape_match("A columns", shape[1], other, dense[0].shape[0])
 
 
 class Tensaurus:
@@ -227,6 +252,8 @@ class Tensaurus:
     ) -> SimReport:
         """Sparse (CSR/COO operand) or dense (ndarray operand) matrix-matrix."""
         mat_b = np.asarray(mat_b, dtype=np.float64)
+        if mat_b.ndim != 2:
+            raise ShapeError(f"SpMM needs a 2-d B, got {mat_b.ndim}-d")
         if isinstance(a, CSRMatrix):
             a = a.to_coo()
         return self._launch(
@@ -263,13 +290,16 @@ class Tensaurus:
         F, F1 or the SpMM column count and ``rank2`` the TTMc F2. The
         fault preamble (abort draw, then the surviving lanes) runs before
         the sparse pricer fingerprints the operand, so an aborted launch
-        leaves the encoding cache untouched.
+        leaves the encoding cache untouched. The operand shapes are
+        checked before it, so a malformed launch raises ``ShapeError``
+        with or without output and takes no fault-plan run slot.
         """
         spec = kernel_spec(family)
         is_dense = isinstance(operand, np.ndarray)
         kernel = spec.dense if is_dense else spec.sparse
         if spec.order == 3 and operand.ndim != 3:
             raise KernelError("the accelerator's tensor kernels are 3-d")
+        _check_operands(spec, operand.shape, dense, mode, is_dense)
         cfg = self.config
         ctx = self._faults.begin_run(kernel)
         if ctx is not None:

@@ -13,6 +13,14 @@ from repro.chaos.invariants import (
 )
 from repro.obs.probe import ChaosProbe
 from repro.serving.fleet import FleetResult
+from repro.serving.request import ServingResponse
+
+
+def launch(probe, kind, replica, breaker, t=0.1):
+    """Hand ``probe`` one launch decision of request 1 on shard 0."""
+    resp = ServingResponse(request_id=1, status="ok", shard=0,
+                           replica=replica)
+    probe.record(t, 1, kind, "", (resp, breaker))
 
 
 def make_obs(**overrides) -> ChaosObservation:
@@ -50,8 +58,8 @@ class TestExactlyOnce:
 
     def test_probe_double_commit_fires_even_when_counter_lies(self):
         obs = make_obs()
-        obs.probe.emit("commit", rid=7, t=0.1)
-        obs.probe.emit("commit", rid=7, t=0.2)
+        obs.probe.record(0.1, 7, "complete", "", ())
+        obs.probe.record(0.2, 7, "complete", "", ())
         v = check_exactly_once(obs)
         assert len(v) == 1
         assert v[0].detail["request_ids"] == [7]
@@ -82,25 +90,23 @@ class TestNoLostAdmittedWork:
 class TestBreakerSafety:
     def test_half_open_probe_launch_is_legal(self):
         obs = make_obs()
-        obs.probe.emit("launch", rid=1, replica=0, breaker="half_open",
-                       t=0.1)
+        launch(obs.probe, "dispatch", 0, "half_open")
         assert check_breaker_safety(obs) == []
 
     def test_open_breaker_launch_fires(self):
         obs = make_obs()
-        obs.probe.emit("launch", rid=1, replica=0, breaker="open", t=0.1)
+        launch(obs.probe, "dispatch", 0, "open")
         v = check_breaker_safety(obs)
         assert v and v[0].invariant == "breaker_safety"
 
     def test_analytic_launch_without_replica_is_exempt(self):
         obs = make_obs()
-        obs.probe.emit("launch", rid=1, replica=None, breaker=None, t=0.1)
+        launch(obs.probe, "dispatch", None, None)
         assert check_breaker_safety(obs) == []
 
     def test_hedge_launch_on_open_breaker_fires(self):
         obs = make_obs()
-        obs.probe.emit("hedge_launch", rid=1, replica=1, breaker="open",
-                       t=0.1)
+        launch(obs.probe, "hedge", 1, "open")
         assert check_breaker_safety(obs)
 
 
@@ -135,7 +141,7 @@ class TestRemainingCheckers:
                        analytic_errors=[(1, 0.9)])
         obs.result.lost_request_ids.append(1)
         obs.result.counters["duplicate_completions"] = 1
-        obs.probe.emit("launch", rid=1, replica=0, breaker="open", t=0.0)
+        launch(obs.probe, "dispatch", 0, "open", t=0.0)
         names = {v.invariant for v in check_all(obs)}
         assert names == set(DEFAULT_INVARIANTS)
 

@@ -146,12 +146,12 @@ class TestDrainRace:
     RACE_SEED = 6
 
     def find_races(self, result, probe):
-        drains = {e["shard"]: e["t"] for e in probe.of("drain")}
-        commits = {e["rid"]: e for e in probe.of("commit")}
+        drains = {e["shard"]: e["t"] for e in probe.of("scale_down")}
+        commits = {e["rid"]: e for e in probe.of("complete")}
         races = []
         for ev in probe.of("hedge_cancel"):
             commit = commits.get(ev["rid"])
-            drained_at = drains.get(ev["shard"])
+            drained_at = drains.get(ev["response"].shard)
             if (
                 commit is not None and drained_at is not None
                 and commit["t"] < drained_at <= ev["t"]
@@ -167,7 +167,7 @@ class TestDrainRace:
             "seed or fleet timing changed — re-sweep for a new seed"
         )
         commit_counts = {}
-        for ev in probe.of("commit"):
+        for ev in probe.of("complete"):
             commit_counts[ev["rid"]] = commit_counts.get(ev["rid"], 0) + 1
         cancel_counts = {}
         for ev in probe.of("hedge_cancel"):

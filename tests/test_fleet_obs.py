@@ -19,6 +19,7 @@ from repro.serving import (
     synthetic_trace,
 )
 from repro.sim.faults import FaultPlan
+from tests.test_decision_goldens import GOLDEN, decision_digest, fleet_case
 
 SEED = 29
 
@@ -89,6 +90,26 @@ class TestObservationalPurity:
             _fleet(pool).run_trace(trace)
             assert not obs.request_tracer().enabled
         assert ob.requests.request_ids() == []
+
+
+class TestReplayIsolation:
+    def test_no_observer_outlives_its_replay(self):
+        # Plain, observed, plain again, in one process: the plain runs
+        # still match the golden, and the third run hands the observed
+        # run's tracer and probe nothing.
+        def replay():
+            fleet, requests, kills = fleet_case("chaos", 5)
+            return fleet.run_trace(requests, kills=kills)
+
+        assert decision_digest(replay()) == GOLDEN["chaos@5"]
+        with obs.observe(requests=RequestTracer(seed=5), probe=True) as ob:
+            replay()
+        spans = (ob.requests.span_count, ob.requests.digest())
+        decisions = list(ob.probe.decisions)
+        assert decisions and spans[0]
+        assert decision_digest(replay()) == GOLDEN["chaos@5"]
+        assert (ob.requests.span_count, ob.requests.digest()) == spans
+        assert ob.probe.decisions == decisions
 
 
 class TestNullFastPath:

@@ -204,16 +204,17 @@ class TestServingConfig:
     def test_defaults_valid(self):
         ServingConfig()
 
+    # The ids keep the numbers the cases had while a fourth case checked
+    # the removed ``default_deadline_s`` field.
     @pytest.mark.parametrize("kwargs", [
         {"replicas": 0},
         {"queue_depth": 0},
         {"bucket_rate": 0.0},
-        {"default_deadline_s": 0.0},
         {"full_headroom": 1.5},
         {"hedge_trigger": 0.5},
         {"service_jitter": -0.1},
         {"analytic_base_s": -1.0},
-    ])
+    ], ids=[f"kwargs{i}" for i in (0, 1, 2, 4, 5, 6, 7)])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ServingConfig(**kwargs)
