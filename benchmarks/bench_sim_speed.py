@@ -109,8 +109,10 @@ def bench_mttkrp(shape, nnz):
     ).num_tiles
 
     batched = Tensaurus(BENCH_CONFIG)
-    # Warm numpy/BLAS once on a different mode, then measure cold.
-    batched.run_mttkrp(t, b, c, mode=1, compute_output=False)
+    # Warm numpy/BLAS once on a different mode, then measure cold. Mode 1
+    # contracts modes 0 and 2, so its B has shape[0] rows.
+    a = rng.standard_normal((shape[0], RANK))
+    batched.run_mttkrp(t, a, c, mode=1, compute_output=False)
     batched.clear_cache()
     t0 = time.perf_counter()
     r_cold = batched.run_mttkrp(
