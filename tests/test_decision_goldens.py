@@ -25,6 +25,14 @@ dropouts) moved from one seeded numpy ``Generator`` per draw to a keyed
 each takes a new value, so every decision log moves. That change was
 the only one in the commit that re-computed them; every later change
 must match them unedited.
+
+The ``single`` cases run the single-node server's settings (one shard,
+two replicas, no autoscaling, hedging on, an 8-deep queue and a
+400 req/s, burst-16 admission bucket) as a one-shard fleet:
+``single@11`` on the ``server`` case's trace, ``single-chaos@23`` on
+``tests/test_serving_chaos.py``'s trace and fault plan. Both were
+computed with the fleet loop as it stood while the server still had a
+loop of its own.
 """
 
 from __future__ import annotations
@@ -71,6 +79,8 @@ GOLDEN = {
     "weighted@17": "e8b2783365a35ee7e9030557e8e40f20675b51bb8013e488befa56b6c39e6865",
     "hedged-3x@5": "028d7d0c1bae79a181f611b3d6d7c6b59493745d7bc9d589fc8ef226481da39b",
     "hedged-3x@17": "52ae3aff1e77e138b69d51bb0e0292ee7849700bcad7beb57a71cb4ce6b90a04",
+    "single@11": "6fcf89ecb349e7cd095ee491b1732faa88552af46bb76f809c075a8dc0ec08f9",
+    "single-chaos@23": "9527d0448fc445066334cbc4ec85c7104c6ed65db53594ff0fb2128f61e385ed",
 }
 
 
@@ -176,6 +186,45 @@ BUILDERS = {
 }
 
 
+def single_node_config(seed: int, **overrides) -> FleetConfig:
+    """The single-node server's settings as a one-shard fleet."""
+    return FleetConfig(
+        seed=seed, shards=1, autoscale=False, hedging=True, queue_depth=8,
+        tenant_default=TenantQuota(rate=400.0, burst=16), **overrides,
+    )
+
+
+def single_case(seed: int):
+    """The ``server`` case's trace through a one-shard fleet."""
+    pool = WorkloadPool(seed=seed)
+    requests = synthetic_trace(
+        pool, duration_s=1.0, base_rate=300.0, spike_factor=4.0,
+        deadline_s=0.03, seed=seed,
+    )
+    return TensaurusFleet(single_node_config(seed), pool=pool), requests, []
+
+
+def single_chaos_case(seed: int):
+    """Half the launches abort under a 10x spike on a one-shard fleet."""
+    pool = WorkloadPool(seed=seed)
+    requests = synthetic_trace(
+        pool, duration_s=0.4, base_rate=120.0, spike_factor=10.0,
+        deadline_s=0.05, seed=seed,
+    )
+    plan = FaultPlan(seed=seed, launch_abort_rate=0.5, hbm_stall_rate=0.02)
+    fleet = TensaurusFleet(
+        single_node_config(seed), fault_plan=plan, pool=pool
+    )
+    return fleet, requests, []
+
+
+#: Cases run at one seed each, named ``<builder>@<seed>`` like the rest.
+SINGLE_NODE = {
+    "single": single_case,
+    "single-chaos": single_chaos_case,
+}
+
+
 def decision_digest(result) -> str:
     rows = [r.log_row() for r in result.responses]
     return hashlib.sha256(
@@ -195,6 +244,8 @@ def run_case(case: str) -> str:
     name, seed = case.rsplit("@", 1)
     if name in BUILDERS:
         fleet, requests, kills = BUILDERS[name](int(seed))
+    elif name in SINGLE_NODE:
+        fleet, requests, kills = SINGLE_NODE[name](int(seed))
     else:
         fleet, requests, kills = fleet_case(name, int(seed))
     return decision_digest(fleet.run_trace(requests, kills=kills))
@@ -202,7 +253,7 @@ def run_case(case: str) -> str:
 
 CASES = [
     f"{name}@{seed}" for name in (*SHAPES, *BUILDERS) for seed in SEEDS
-] + ["server"]
+] + ["server", "single@11", "single-chaos@23"]
 
 
 @pytest.mark.parametrize("case", CASES)
