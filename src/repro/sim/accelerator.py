@@ -701,7 +701,9 @@ class Tensaurus:
             extra_t = outcome.extra_tensor_bytes
             extra_m = outcome.extra_matrix_bytes
         phases: Optional[Dict[str, int]] = None
-        if obs.enabled():
+        # Only the span tracer and the registry read phases; a chaos
+        # probe or a request tracer alone leaves the report plain.
+        if obs.tracer().enabled or obs.metrics().enabled:
             phases = self._tile_phases(
                 compute_cycles, mem_cycles, stats.conflict_stalls, num_tiles
             )

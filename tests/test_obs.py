@@ -238,6 +238,23 @@ class TestInstrumentedSimulator:
         assert r_on.detail == r_off.detail
         assert np.allclose(r_on.output, r_off.output)
 
+    @pytest.mark.parametrize("observer", ["probe", "requests"])
+    def test_probe_or_request_tracer_alone_leaves_reports_plain(
+        self, observer
+    ):
+        """Phase cycles are for the span tracer and the metrics registry:
+        a chaos probe or a request tracer installed alone reads none, so
+        its launches leave ``SimReport`` as a plain run leaves it."""
+        tensor = random_tensor(shape=(30, 20, 10), seed=2)
+        plain = _mttkrp_once(Tensaurus(TensaurusConfig()), tensor)
+        with obs.observe(
+            obs.NULL_TRACER, obs.NULL_REGISTRY, **{observer: True}
+        ):
+            watched = _mttkrp_once(Tensaurus(TensaurusConfig()), tensor)
+        assert plain.phase_cycles is None
+        assert watched.phase_cycles is None
+        assert watched.cycles == plain.cycles
+
     def test_phase_cycles_reconcile_with_reports(self):
         tensor = random_tensor(seed=3)
         with obs.observe() as ob:
