@@ -1,22 +1,26 @@
-"""Load test of the overload-safe serving layer.
+"""Load test of the overload-safe single-node server.
 
 Drives the same deterministic 10x-overload-spike trace through three
-server configurations and records the comparison to
-``BENCH_serving.json``:
+configurations of a one-shard fleet
+(:meth:`repro.serving.FleetConfig.single_node`) and records the
+comparison to ``BENCH_serving.json``:
 
 1. **guarded** — admission control + degradation ladder + hedging on.
    Gate: >= 95% of *served* responses meet their deadline, and the
    analytic-tier error bound is reported.
-2. **naive** — unbounded FIFO queue, always full tier, no shedding.
+2. **naive** — ``ServingConfig(shedding=False)`` without hedging: no
+   quota or queue bound, arrival-order dispatch, always full tier.
    Gate: < 50% of its responses meet their deadline under the spike
    (the queueing collapse the guarded server avoids).
 3. **chaos** — the guarded server with a launch-abort FaultPlan armed.
    Gate: zero unserved failures (every fault degrades to the analytic
    tier), and the circuit breakers both open and re-close.
 
-Determinism gate: replaying the guarded run with a fresh server
+Determinism gate: replaying the guarded run with a fresh fleet
 produces an identical decision log, and full-tier responses are
 bit-identical to direct :class:`repro.sim.Tensaurus` runs.
+:func:`accepted` states every gate; ``tests/test_bench_serving.py``
+holds the committed ``BENCH_serving.json`` to it.
 
 Run as ``PYTHONPATH=src python benchmarks/bench_serving.py`` (add
 ``--smoke`` for the short CI workload).
@@ -32,8 +36,9 @@ import numpy as np
 
 from repro.serving import (
     TIER_FULL,
+    FleetConfig,
     ServingConfig,
-    TensaurusServer,
+    TensaurusFleet,
     WorkloadPool,
     synthetic_trace,
 )
@@ -71,23 +76,25 @@ def bench_overload(duration_s: float, base_rate: float):
         pool, duration_s=duration_s, base_rate=base_rate, spike_factor=10.0,
         deadline_s=0.05, seed=SEED,
     )
-    guarded_cfg = ServingConfig(seed=SEED, replicas=2)
+    guarded_cfg = FleetConfig.single_node(seed=SEED)
 
-    guarded = TensaurusServer(guarded_cfg, pool=pool).run_trace(trace)
-    replay = TensaurusServer(
+    guarded = TensaurusFleet(guarded_cfg, pool=pool).run_trace(trace)
+    replay = TensaurusFleet(
         guarded_cfg, pool=WorkloadPool(seed=SEED)
     ).run_trace(trace)
     deterministic = guarded.decision_log == replay.decision_log and [
         r.log_row() for r in guarded.responses
     ] == [r.log_row() for r in replay.responses]
 
-    naive = TensaurusServer(
-        ServingConfig(seed=SEED, replicas=2, shedding=False),
+    naive = TensaurusFleet(
+        FleetConfig.single_node(
+            seed=SEED, hedging=False, serving=ServingConfig(shedding=False)
+        ),
         pool=pool, calibrate=False,
     ).run_trace(trace)
 
     plan = FaultPlan(seed=SEED, launch_abort_rate=0.4)
-    chaos = TensaurusServer(
+    chaos = TensaurusFleet(
         guarded_cfg, fault_plan=plan, pool=pool
     ).run_trace(trace)
     chaos_states = {t[3] for t in chaos.breaker_transitions}
@@ -104,6 +111,21 @@ def bench_overload(duration_s: float, base_rate: float):
         "chaos_breaker_opened": "open" in chaos_states,
         "chaos_breaker_recovered": "closed" in chaos_states,
     }
+
+
+def accepted(results: dict) -> bool:
+    """The bench's acceptance rule over one ``BENCH_serving.json``
+    record."""
+    g, n, c = results["guarded"], results["naive"], results["chaos"]
+    return bool(
+        g["deadline_hit_rate"] >= GUARDED_HIT_GATE
+        and n["deadline_hit_rate"] < NAIVE_HIT_CEILING
+        and c["count_failed"] == 0
+        and results["chaos_breaker_opened"]
+        and results["chaos_breaker_recovered"]
+        and results["deterministic_replay"]
+        and results["full_tier_bit_identical"]
+    )
 
 
 def main() -> int:
@@ -149,16 +171,7 @@ def main() -> int:
     )
     print(f"wrote {args.out}")
 
-    ok = (
-        g["deadline_hit_rate"] >= GUARDED_HIT_GATE
-        and n["deadline_hit_rate"] < NAIVE_HIT_CEILING
-        and c["count_failed"] == 0
-        and results["chaos_breaker_opened"]
-        and results["chaos_breaker_recovered"]
-        and results["deterministic_replay"]
-        and results["full_tier_bit_identical"]
-    )
-    if not ok:
+    if not accepted(results):
         print("FAILED acceptance thresholds")
         return 1
     return 0

@@ -19,10 +19,11 @@ Commands
     asserts the instrumented run is bit-identical to an uninstrumented one.
 ``serve-replay``
     Replay a deterministic synthetic request trace through the
-    overload-safe serving layer (``repro.serving``) and print the
-    admission / degradation / deadline summary; ``--naive`` compares
-    against the unbounded FIFO baseline, ``--faults`` layers launch
-    aborts under the overload spike.
+    single-node server, a one-shard fleet (``repro.serving``), and print
+    the admission / degradation / deadline summary; ``--naive`` runs the
+    baseline without overload controls (arrival-order dispatch, full
+    tier only), ``--faults`` layers launch aborts under the overload
+    spike.
 ``fleet-replay``
     Replay a trace through the sharded serving fleet
     (``repro.serving.fleet``): cache-affinity consistent-hash routing,
@@ -103,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve-replay",
-        help="replay a synthetic request trace through the serving layer",
+        help="replay a synthetic request trace through the single-node "
+        "server (a one-shard fleet)",
     )
     serve.add_argument("--seed", type=int, default=0, help="trace + server seed")
     serve.add_argument("--duration", type=float, default=0.6,
@@ -116,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="nominal per-request deadline budget (s)")
     serve.add_argument("--replicas", type=int, default=2)
     serve.add_argument("--naive", action="store_true",
-                       help="unbounded FIFO baseline (no overload controls)")
+                       help="baseline without overload controls: no quota "
+                       "or queue bound, arrival order, full tier only")
     serve.add_argument("--faults", type=float, default=0.0, metavar="RATE",
                        help="also arm a launch-abort FaultPlan at RATE")
     serve.add_argument("--out", default=None,
@@ -448,7 +451,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
     from repro.serving import (
-        ServingConfig, TensaurusServer, WorkloadPool, synthetic_trace,
+        FleetConfig, ServingConfig, TensaurusFleet, WorkloadPool,
+        synthetic_trace,
     )
     from repro.serving.trace import trace_stats
 
@@ -462,13 +466,15 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         from repro.sim.faults import FaultPlan
 
         fault_plan = FaultPlan(seed=args.seed, launch_abort_rate=args.faults)
-    config = ServingConfig(
-        seed=args.seed, replicas=args.replicas, shedding=not args.naive
+    config = FleetConfig.single_node(
+        seed=args.seed, replicas_per_shard=args.replicas,
+        hedging=not args.naive,
+        serving=ServingConfig(shedding=not args.naive),
     )
-    server = TensaurusServer(
+    fleet = TensaurusFleet(
         config, fault_plan=fault_plan, pool=pool, calibrate=not args.naive
     )
-    result = server.run_trace(trace)
+    result = fleet.run_trace(trace)
     summary = result.summary()
     rows = [[k, f"{v:.4g}" if isinstance(v, float) else str(v)]
             for k, v in summary.items()]
@@ -478,12 +484,22 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         f"\ntrace: {stats['count']} requests over {stats['duration_s']:.3f} "
         f"virtual seconds (spike x{args.spike:g})"
     )
-    if result.breaker_transitions:
+    # The fleet's transitions name the shard; the one shard's breakers
+    # name the replica.
+    transitions = sorted(
+        (
+            (replica, when, old, new)
+            for replica, brk in enumerate(fleet.shards[0].server.breakers)
+            for when, old, new in brk.transitions
+        ),
+        key=lambda t: (t[1], t[0]),
+    )
+    if transitions:
         print("breaker transitions:")
-        for replica, when, old, new in result.breaker_transitions[:10]:
+        for replica, when, old, new in transitions[:10]:
             print(f"  t={when:.4f}s replica {replica}: {old} -> {new}")
-        if len(result.breaker_transitions) > 10:
-            print(f"  ... {len(result.breaker_transitions) - 10} more")
+        if len(transitions) > 10:
+            print(f"  ... {len(transitions) - 10} more")
     if args.out:
         import json
 
@@ -491,9 +507,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             "summary": summary,
             "trace": stats,
             "decision_log": [list(row) for row in result.decision_log],
-            "breaker_transitions": [
-                list(t) for t in result.breaker_transitions
-            ],
+            "breaker_transitions": [list(t) for t in transitions],
         }
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1)

@@ -307,13 +307,12 @@ class RequestTracer:
     def reconcile(self, result) -> int:
         """Assert every response's latency equals its root span exactly.
 
-        ``result`` is a :class:`repro.serving.server.ServingResult` (or
-        fleet subclass). For each response with a latency, the request's
-        root span must exist and span precisely ``arrival_s → finish_s``
-        — not approximately: the fleet records the same virtual-time
-        floats in both places, so equality is exact. Returns the number
-        of reconciled requests; raises ``ValueError`` on the first
-        mismatch or missing trace.
+        ``result`` is a :class:`repro.serving.fleet.FleetResult`. For
+        each response with a latency, the request's root span must exist
+        and span precisely ``arrival_s → finish_s`` — not approximately:
+        the fleet records the same virtual-time floats in both places,
+        so equality is exact. Returns the number of reconciled requests;
+        raises ``ValueError`` on the first mismatch or missing trace.
         """
         checked = 0
         for resp in result.responses:

@@ -3,8 +3,9 @@
 An :class:`SLOObjective` states a target over the serving event stream —
 "99% of requests hit their deadline", "99% finish under 30 ms", "99.9%
 do not error" — and :class:`SLOMonitor` evaluates a set of them over a
-:class:`~repro.serving.server.ServingResult` (or fleet subclass) in
-completion order, entirely in the trace's *virtual* time.
+:class:`~repro.serving.fleet.FleetResult` (a fleet replay, one-shard
+single-node runs included) in completion order, entirely in the trace's
+*virtual* time.
 
 Alerting follows the multi-window multi-burn-rate recipe from the Google
 SRE workbook: the **burn rate** is the windowed bad-event rate divided by
@@ -261,9 +262,9 @@ class SLOMonitor:
     def evaluate(self, result) -> SLOReport:
         """Score every objective and replay the burn-rate alert rules.
 
-        ``result`` is a :class:`~repro.serving.server.ServingResult` or
-        fleet subclass. Events are processed in ``(time, request_id)``
-        order, so evaluation is deterministic for a deterministic trace.
+        ``result`` is a :class:`~repro.serving.fleet.FleetResult`.
+        Events are processed in ``(time, request_id)`` order, so
+        evaluation is deterministic for a deterministic trace.
         """
         stream = sorted(
             result.responses,

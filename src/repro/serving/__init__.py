@@ -3,10 +3,10 @@
 The serving subsystem answers one question the rest of the repository
 does not: what happens when more work arrives than the simulated
 accelerator fleet can finish on time? It implements the classic
-overload-control toolbox — bounded admission queue with priorities,
-token-bucket rate limiting, per-request deadlines, per-backend circuit
-breakers, hedged launches across replicas — plus a three-tier graceful
-degradation ladder that trades fidelity for latency:
+overload-control toolbox — bounded admission queues with priorities,
+per-tenant token-bucket rate limiting, per-request deadlines,
+per-backend circuit breakers, hedged launches across replicas — plus a
+three-tier graceful degradation ladder that trades fidelity for latency:
 
 1. **full** — the cycle simulator with numeric output
    (:meth:`repro.sim.Tensaurus.run_mttkrp` and friends, bit-identical
@@ -21,12 +21,15 @@ service durations come from a seeded cost model (not the host clock),
 and every admit / shed / hedge / degrade decision replays bit-for-bit
 for a given seed. See ``ARCHITECTURE.md`` ("Serving & overload").
 
-On top of the single server, :class:`repro.serving.fleet.TensaurusFleet`
-shards traffic across N servers behind a seeded consistent-hash ring
-(cache-affinity routing on workload fingerprints), with per-tenant
-quotas and weighted-fair dispatch, shard health monitoring with seeded
-autoscaling, and cross-shard failover that re-deals a dead shard's work
-to survivors exactly once. See ``ARCHITECTURE.md`` ("Serving fleet").
+One event loop serves every configuration:
+:class:`repro.serving.fleet.TensaurusFleet` shards traffic across N
+replica bundles (:class:`repro.serving.server.TensaurusServer`) behind a
+seeded consistent-hash ring (cache-affinity routing on workload
+fingerprints), with per-tenant quotas and weighted-fair dispatch, shard
+health monitoring with seeded autoscaling, and cross-shard failover
+that re-deals a dead shard's work to survivors exactly once. A
+single-node server is a one-shard fleet without autoscaling. See
+``ARCHITECTURE.md`` ("Serving fleet").
 """
 
 from repro.serving.breaker import (
@@ -63,7 +66,7 @@ from repro.serving.ladder import (
 )
 from repro.serving.request import ServingRequest, ServingResponse
 from repro.serving.ring import HashRing
-from repro.serving.server import ServingResult, TensaurusServer
+from repro.serving.server import TensaurusServer
 from repro.serving.tenant import TenantGovernor, TenantQuota
 from repro.serving.trace import WorkloadItem, WorkloadPool, synthetic_trace
 
@@ -97,7 +100,6 @@ __all__ = [
     "calibrate_analytic_error",
     "ServingRequest",
     "ServingResponse",
-    "ServingResult",
     "TensaurusServer",
     "WorkloadItem",
     "WorkloadPool",

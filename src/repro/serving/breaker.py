@@ -16,9 +16,6 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
-#: Stable numeric encoding of the states (:attr:`CircuitBreaker.state_code`).
-_STATE_CODE = {BREAKER_CLOSED: 0, BREAKER_OPEN: 1, BREAKER_HALF_OPEN: 2}
-
 
 class TokenBucket:
     """Classic token bucket over virtual time.
@@ -171,11 +168,6 @@ class CircuitBreaker:
         ):
             self.opened_at_s = now
             self._move(now, BREAKER_OPEN)
-
-    @property
-    def state_code(self) -> int:
-        """0=closed, 1=open, 2=half-open."""
-        return _STATE_CODE[self.state]
 
     def __repr__(self) -> str:
         return (

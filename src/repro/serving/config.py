@@ -1,11 +1,13 @@
-"""Configuration for the overload-safe serving layer.
+"""Configuration of one serving shard.
 
-One frozen dataclass gathers every knob of the admission / degradation
-pipeline so a serving experiment is reproducible from ``(ServingConfig,
-trace seed)`` alone. The service-time cost model lives here too: the
-server schedules against *virtual* seconds derived from these
-coefficients, never the host clock, which is what makes every decision
-replayable.
+One frozen dataclass gathers a shard's breaker, degradation and hedging
+knobs and its service-time cost model, so a serving experiment is
+reproducible from ``(FleetConfig, trace seed)`` alone. The fleet
+schedules against *virtual* seconds derived from these coefficients,
+never the host clock, which is what makes every decision replayable.
+Admission (per-tenant buckets), the queue bound, the replica count and
+the seed are fleet-wide and live on
+:class:`~repro.serving.fleet.FleetConfig`.
 """
 
 from __future__ import annotations
@@ -13,29 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.util.errors import ConfigError
-from repro.util.rng import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Knobs for :class:`repro.serving.server.TensaurusServer`.
+    """Per-shard knobs of :class:`repro.serving.fleet.TensaurusFleet`
+    (``FleetConfig.serving``).
 
     Parameters
     ----------
-    seed:
-        Root seed; every stochastic choice (replica speed jitter, probe
-        calibration) derives a child stream from it via
-        :func:`repro.util.rng.derive_seed`.
-    replicas:
-        Number of simulated accelerator backends requests fan out over.
-    queue_depth:
-        Bounded admission queue length. Arrivals beyond it are shed (or
-        evict a strictly lower-priority entry). ``shedding=False``
-        disables the bound (the naive baseline).
-    bucket_rate / bucket_burst:
-        Token-bucket admission rate (requests per virtual second) and
-        burst capacity. A drained bucket rejects with a ``retry_after``
-        hint instead of queueing.
     breaker_failure_threshold:
         Consecutive backend failures that trip a replica's breaker open.
     breaker_cooldown_s:
@@ -46,16 +34,17 @@ class ServingConfig:
     full_headroom / batched_headroom:
         Fractions of the remaining deadline budget the estimated service
         time must fit inside to stay at the full / batched tier. Misses
-        degrade one tier further; requests that cannot even fit the
-        analytic tier are shed as infeasible.
+        degrade one tier further; admitted work is never shed, so the
+        floor is the analytic tier (a request already past its deadline
+        is answered there and counted ``late``).
     degrade_queue_depth:
         Queue backlog at or above which dispatch skips the full tier
         outright (load-based degradation, independent of deadlines).
     hedge_trigger:
-        Launch a backup copy on the least-loaded idle replica when the
-        primary's (deterministically jittered) service time exceeds
-        ``hedge_trigger`` times the nominal estimate; first finisher
-        wins, the loser is cancelled.
+        With ``FleetConfig.hedging`` on, launch a twin on another idle
+        replica when the primary's (deterministically jittered) service
+        time exceeds ``hedge_trigger`` times the nominal estimate; the
+        first completion wins, the loser is cancelled.
     service_jitter:
         Scale of the exponential tail on per-launch replica speed:
         ``factor = 1 + service_jitter * Exp(1)`` drawn from a seeded
@@ -69,16 +58,12 @@ class ServingConfig:
     analytic_base_s:
         Flat virtual cost of a closed-form estimate.
     shedding:
-        ``False`` switches off the bucket, the queue bound, degradation
-        and hedging — the naive unbounded FIFO baseline the benchmark
-        compares against.
+        ``False`` is the naive baseline the serving benchmark compares
+        against: arrivals skip the tenant quota and the queue bound,
+        each shard dispatches in arrival order, and every launch takes
+        the full tier. Breakers, hedging and failover still apply.
     """
 
-    seed: int = DEFAULT_SEED
-    replicas: int = 2
-    queue_depth: int = 8
-    bucket_rate: float = 400.0
-    bucket_burst: int = 16
     breaker_failure_threshold: int = 3
     breaker_cooldown_s: float = 0.02
     breaker_halfopen_probes: int = 1
@@ -95,12 +80,6 @@ class ServingConfig:
     shedding: bool = True
 
     def __post_init__(self) -> None:
-        if self.replicas <= 0:
-            raise ConfigError("replicas must be positive")
-        if self.queue_depth <= 0:
-            raise ConfigError("queue_depth must be positive")
-        if self.bucket_rate <= 0 or self.bucket_burst <= 0:
-            raise ConfigError("token bucket rate and burst must be positive")
         if self.breaker_failure_threshold <= 0:
             raise ConfigError("breaker_failure_threshold must be positive")
         if self.breaker_cooldown_s < 0:

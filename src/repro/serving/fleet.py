@@ -39,12 +39,18 @@ Robustness substrate on top of the routing:
   response and counted in :attr:`FleetResult.admitted_evictions`
   (never silently dropped, never served twice).
 
-Everything runs on one deterministic virtual-time event loop: the
-decision log replays bit-identically per seed, kills included. Each
-decision is reported once, through the loop's ``record``, which hands
-the row and the objects it is about to the observers installed for the
-replay: the request tracer folds them into span trees and the chaos
-probe keeps them (:mod:`repro.obs.probe`).
+Everything runs on one deterministic virtual-time event loop, the only
+one in :mod:`repro.serving`: a single-node server is a one-shard fleet
+without autoscaling. The decision log replays bit-identically per seed,
+kills included. Each decision is reported once, through the loop's
+``record``, which hands the row and the objects it is about to the
+observers installed for the replay: the request tracer folds them into
+span trees and the chaos probe keeps them (:mod:`repro.obs.probe`).
+
+``ServingConfig.shedding=False`` turns the loop into the naive baseline
+the serving benchmark compares against: arrivals skip the tenant quota
+and the queue bound, each shard dispatches its queue in arrival order,
+and every launch takes the full tier.
 """
 
 from __future__ import annotations
@@ -55,6 +61,8 @@ from dataclasses import dataclass, field, replace
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
 )
+
+import numpy as np
 
 from repro import obs
 from repro.serving.breaker import BREAKER_CLOSED
@@ -80,11 +88,7 @@ from repro.serving.request import (
     ServingResponse,
 )
 from repro.serving.ring import HashRing
-from repro.serving.server import (
-    _FAULT_DETECT_FRACTION,
-    ServingResult,
-    TensaurusServer,
-)
+from repro.serving.server import TensaurusServer
 from repro.serving.tenant import TenantGovernor, TenantQuota
 from repro.serving.trace import WorkloadPool
 from repro.sim.config import TensaurusConfig
@@ -97,6 +101,10 @@ logger = obs.get_logger(__name__)
 
 ROUTING_AFFINITY = "affinity"
 ROUTING_RANDOM = "random"
+
+#: Fraction of the nominal service time after which a faulted launch is
+#: detected (aborts surface early, not at the would-be completion).
+_FAULT_DETECT_FRACTION = 0.25
 
 #: Event kinds, in tie-break order at equal virtual time.
 _EV_COMPLETION = 0
@@ -111,11 +119,11 @@ _EV_KICK = 5
 class FleetConfig:
     """Knobs for :class:`TensaurusFleet`.
 
-    ``serving`` carries the per-shard service-time model and breaker
-    settings (its ``replicas``/``seed`` fields are overridden per shard
-    — each shard gets ``replicas_per_shard`` replicas and a derived
-    seed). Fleet-level admission is per-tenant, so the per-server token
-    bucket is unused here.
+    ``serving`` carries the per-shard service-time model, breaker and
+    degradation settings, and the ``shedding`` switch. Each shard gets
+    ``replicas_per_shard`` replicas and a seed derived from ``seed``.
+    Admission is per tenant (``tenant_default``, ``tenant_quotas``).
+    :meth:`single_node` gives the single-node server's settings.
     """
 
     seed: int = DEFAULT_SEED
@@ -155,6 +163,18 @@ class FleetConfig:
     tenant_default: TenantQuota = field(default_factory=TenantQuota)
     tenant_quotas: Tuple[Tuple[str, TenantQuota], ...] = ()
     serving: ServingConfig = field(default_factory=ServingConfig)
+
+    @classmethod
+    def single_node(cls, **overrides: Any) -> "FleetConfig":
+        """A single-node server: one shard of ``replicas_per_shard``
+        replicas, no autoscaling, hedging on, an 8-deep queue and a
+        400 req/s, burst-16 admission bucket per tenant. ``overrides``
+        set any field."""
+        settings: Dict[str, Any] = dict(
+            shards=1, autoscale=False, hedging=True, queue_depth=8,
+            tenant_default=TenantQuota(rate=400.0, burst=16),
+        )
+        return cls(**{**settings, **overrides})
 
     def __post_init__(self) -> None:
         if self.shards <= 0:
@@ -270,6 +290,13 @@ class ShardQueue:
         self._maybe_rebuild()
         return req, ep
 
+    def pop_oldest(self) -> Tuple[ServingRequest, int]:
+        """Remove and return the entry inserted first (the naive
+        baseline's arrival-order dispatch)."""
+        req, ep, _ = next(iter(self._entries.values()))
+        self.remove(req)
+        return req, ep
+
     def victim(self) -> ServingRequest:
         """The entry a higher-priority arrival would evict."""
         heap = self._evict
@@ -313,18 +340,11 @@ class FleetShard:
         sid: int,
         fleet_config: FleetConfig,
         sim_config: TensaurusConfig,
-        ladder: DegradationLadder,
-        pool: WorkloadPool,
         fault_plan: Optional[FaultPlan],
         spawned_at: float = 0.0,
         ready_at: float = 0.0,
     ) -> None:
         self.sid = sid
-        cfg = replace(
-            fleet_config.serving,
-            replicas=fleet_config.replicas_per_shard,
-            seed=derive_seed(fleet_config.seed, "shard", sid),
-        )
         # Accelerator-level faults (aborts, bit-flips, ...) are forwarded;
         # fleet-level shard kills are consumed by the fleet event loop.
         forwarded = (
@@ -332,8 +352,9 @@ class FleetShard:
             else None
         )
         self.server = TensaurusServer(
-            cfg, sim_config, fault_plan=forwarded, calibrate=False,
-            pool=pool, ladder=ladder,
+            fleet_config.serving, fleet_config.replicas_per_shard,
+            derive_seed(fleet_config.seed, "shard", sid), sim_config,
+            fault_plan=forwarded,
         )
         self.spawned_at = spawned_at
         self.ready_at = ready_at
@@ -375,15 +396,64 @@ class FleetShard:
 
 
 @dataclass
-class FleetResult(ServingResult):
+class FleetResult:
     """Everything one fleet trace replay produced."""
 
+    responses: List[ServingResponse] = field(default_factory=list)
+    decision_log: List[Tuple] = field(default_factory=list)
+    counters: Dict[str, int] = field(default_factory=dict)
+    analytic_error_bound: float = 0.0
+    hedge_wasted_s: float = 0.0
+    #: ``(shard, time_s, from_state, to_state)`` of every replica breaker.
+    breaker_transitions: List[Tuple[int, float, str, str]] = field(
+        default_factory=list
+    )
     shard_stats: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     tenant_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     fault_events: List[FaultEvent] = field(default_factory=list)
     autoscale_events: List[Tuple] = field(default_factory=list)
     health_transitions: List[Tuple] = field(default_factory=list)
     lost_request_ids: List[int] = field(default_factory=list)
+
+    @property
+    def served(self) -> List[ServingResponse]:
+        return [r for r in self.responses if r.status == STATUS_OK]
+
+    @property
+    def served_fraction(self) -> float:
+        if not self.responses:
+            return 0.0
+        return len(self.served) / len(self.responses)
+
+    @property
+    def deadline_hit_rate(self) -> float:
+        """Fraction of *served* responses that met their deadline."""
+        served = self.served
+        if not served:
+            return 0.0
+        return sum(1 for r in served if r.deadline_hit) / len(served)
+
+    @property
+    def overall_hit_rate(self) -> float:
+        """Deadline hits over *all* offered requests (shed counts miss)."""
+        if not self.responses:
+            return 0.0
+        return sum(1 for r in self.responses if r.deadline_hit) / len(
+            self.responses
+        )
+
+    @property
+    def degraded_fraction(self) -> float:
+        served = self.served
+        if not served:
+            return 0.0
+        return sum(1 for r in served if r.degraded) / len(served)
+
+    def latency_percentile(self, q: float) -> float:
+        lats = [r.latency_s for r in self.served if r.latency_s is not None]
+        if not lats:
+            return 0.0
+        return float(np.percentile(np.array(lats), q))
 
     @property
     def cache_hit_rate(self) -> float:
@@ -421,20 +491,29 @@ class FleetResult(ServingResult):
         )
 
     def summary(self) -> Dict[str, Any]:
-        base = super().summary()
-        base.update(
-            {
-                "cache_hit_rate": self.cache_hit_rate,
-                "exactly_once": self.exactly_once,
-                "admitted_evictions": self.admitted_evictions,
-                "lost_requests": len(self.lost_request_ids),
-                "shards_final": len(self.shard_stats),
-                "fault_events": len(self.fault_events),
-                "autoscale_events": len(self.autoscale_events),
-                "tenants": len(self.tenant_stats),
-            }
-        )
-        return base
+        return {
+            "requests": len(self.responses),
+            "served": len(self.served),
+            "served_fraction": self.served_fraction,
+            "deadline_hit_rate": self.deadline_hit_rate,
+            "overall_hit_rate": self.overall_hit_rate,
+            "degraded_fraction": self.degraded_fraction,
+            "analytic_error_bound": self.analytic_error_bound,
+            "hedge_wasted_s": self.hedge_wasted_s,
+            "latency_p50_s": self.latency_percentile(50),
+            "latency_p95_s": self.latency_percentile(95),
+            "latency_p99_s": self.latency_percentile(99),
+            "breaker_transitions": len(self.breaker_transitions),
+            **{f"count_{k}": v for k, v in sorted(self.counters.items())},
+            "cache_hit_rate": self.cache_hit_rate,
+            "exactly_once": self.exactly_once,
+            "admitted_evictions": self.admitted_evictions,
+            "lost_requests": len(self.lost_request_ids),
+            "shards_final": len(self.shard_stats),
+            "fault_events": len(self.fault_events),
+            "autoscale_events": len(self.autoscale_events),
+            "tenants": len(self.tenant_stats),
+        }
 
 
 class TensaurusFleet:
@@ -487,8 +566,8 @@ class TensaurusFleet:
         sid = self._next_sid
         self._next_sid += 1
         shard = FleetShard(
-            sid, self.config, self.sim_config, self.ladder, self.pool,
-            self.fault_plan, spawned_at=now, ready_at=ready_at,
+            sid, self.config, self.sim_config, self.fault_plan,
+            spawned_at=now, ready_at=ready_at,
         )
         self.shards[sid] = shard
         self.ring.add(sid)
@@ -607,6 +686,9 @@ class TensaurusFleet:
         wakes: List[Tuple[float, int]] = []
         wake_at: Dict[int, float] = {}
         fairness_key = self.governor.fairness_key
+        # False for the naive baseline: no quota or queue bound, arrival
+        # order, full tier only.
+        shedding = cfg.serving.shedding
 
         def record(now: float, rid: int, kind: str, info: str = "",
                    *facts: Any) -> None:
@@ -633,13 +715,14 @@ class TensaurusFleet:
 
         # -------------------------------------------------- admission
         def arrival(req: ServingRequest, now: float) -> None:
-            ok, retry_after = self.governor.admit(req.tenant, now)
-            if not ok:
-                reject(req, now, STATUS_REJECTED, "tenant_quota",
-                       retry_after)
-                return
+            if shedding:
+                ok, retry_after = self.governor.admit(req.tenant, now)
+                if not ok:
+                    reject(req, now, STATUS_REJECTED, "tenant_quota",
+                           retry_after)
+                    return
             shard = self.shards[self._route(req)]
-            if len(shard.queue) >= cfg.queue_depth:
+            if shedding and len(shard.queue) >= cfg.queue_depth:
                 victim = shard.queue.victim()
                 if victim.priority < req.priority:
                     shard.queue.remove(victim)
@@ -668,6 +751,8 @@ class TensaurusFleet:
         def choose_tier(shard: FleetShard, req: ServingRequest,
                         now: float, nnz: int) -> str:
             """Admitted work is never shed: the floor is analytic."""
+            if not shedding:
+                return TIER_FULL
             remaining = req.absolute_deadline_s - now
             scfg = shard.server.config
             if remaining <= 0:
@@ -853,7 +938,7 @@ class TensaurusFleet:
             as a sweep of all routable shards would: the events each
             dispatch pushes take their heap tie-break sequence in that
             order. The pick goes by weighted fairness, then priority,
-            then FIFO."""
+            then FIFO; the naive baseline takes the oldest entry."""
             while wakes and wakes[0][0] <= now + 1e-15:
                 when, sid = heapq.heappop(wakes)
                 if wake_at.get(sid) == when:
@@ -869,7 +954,10 @@ class TensaurusFleet:
                     continue
                 if now >= shard.ready_at:
                     while shard.queue and min(shard.free_at) <= now + 1e-15:
-                        req, ep = shard.queue.pop_fairest(fairness_key)
+                        req, ep = (
+                            shard.queue.pop_fairest(fairness_key)
+                            if shedding else shard.queue.pop_oldest()
+                        )
                         dispatch(shard, req, ep, now)
                 if shard.queue:
                     when = max(shard.ready_at, min(shard.free_at))
@@ -1126,8 +1214,6 @@ class TensaurusFleet:
                     self.ring.remove(victim.sid)
                     victim.draining = True
                     self._refresh_routable()
-                    victim.server.begin_drain()
-                    handoff = victim.server.handoff_state()
                     # Idle by construction: queue empty, replicas free —
                     # a graceful drain moves no work and loses nothing.
                     redeal(list(victim.queue), now)
@@ -1142,9 +1228,11 @@ class TensaurusFleet:
                     result.autoscale_events.append(
                         (round(now, 12), "down", victim.sid)
                     )
+                    states = ",".join(
+                        b.state for b in victim.server.breakers
+                    )
                     record(now, -1, "scale_down",
-                           f"shard={victim.sid} "
-                           f"breakers={','.join(handoff['breakers'])}",
+                           f"shard={victim.sid} breakers={states}",
                            victim.sid)
             if now + cfg.autoscale_interval_s <= horizon_end:
                 push(now + cfg.autoscale_interval_s, _EV_TICK, None)

@@ -1,7 +1,6 @@
 """Frozen decision digests of small serving traces.
 
-Each case replays a seeded trace through a fleet (or one single-node
-server) and hashes ``repr((decision_log, [r.log_row() for r in
+Each case replays a seeded trace through a fleet and hashes ``repr((decision_log, [r.log_row() for r in
 responses]))``. A match means no admit, route, tier, fault, hedge or
 finish-time decision moved: finish times carry every served report's
 simulated cycles. The first nine cases were first computed before the
@@ -29,10 +28,14 @@ must match them unedited.
 The ``single`` cases run the single-node server's settings (one shard,
 two replicas, no autoscaling, hedging on, an 8-deep queue and a
 400 req/s, burst-16 admission bucket) as a one-shard fleet:
-``single@11`` on the ``server`` case's trace, ``single-chaos@23`` on
+``single@11`` on the trace the deleted single-node server loop's
+``server`` case ran, ``single-chaos@23`` on
 ``tests/test_serving_chaos.py``'s trace and fault plan. Both were
 computed with the fleet loop as it stood while the server still had a
-loop of its own.
+loop of its own. ``naive@11`` runs ``single@11``'s trace through the
+naive baseline (``ServingConfig(shedding=False)``, no hedging); it has
+no parent reference: it was first computed with the naive path in the
+fleet loop.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from repro.serving import (
     ServingConfig,
     TenantQuota,
     TensaurusFleet,
-    TensaurusServer,
     WorkloadPool,
     synthetic_trace,
 )
@@ -72,7 +74,6 @@ GOLDEN = {
     "chaos@17": "0449245d30e18d1c51953fca9f7c244f5fa9cf934e0cc66fc8f2d701899f2bc3",
     "lane-dropout@5": "bad3bd47b2218cbfb2bc37897ba5409428d45171dde17f002e7d825e2bd87b3b",
     "lane-dropout@17": "307ca72ccf60b45a83ac45017107ac527052b718e39e810333227a65d77eaea3",
-    "server": "24bcdfcec64dffa7d8960da958bc68b15bdc1227c801608c4019e8f4ad7ca27d",
     "random@5": "44b5f6bff806036c0b6025087c73b2f922dc1bbe4287a8a97eabfabcaf68d978",
     "random@17": "2f322d54cd8723927ebb1ddaf6ec609f2db5bdcd5f6aad5b764385c466948286",
     "weighted@5": "26d943cc04bc65dfa58444530799f98e4e255034c7d05c293ae9fff3b27df88e",
@@ -81,6 +82,7 @@ GOLDEN = {
     "hedged-3x@17": "52ae3aff1e77e138b69d51bb0e0292ee7849700bcad7beb57a71cb4ce6b90a04",
     "single@11": "6fcf89ecb349e7cd095ee491b1732faa88552af46bb76f809c075a8dc0ec08f9",
     "single-chaos@23": "9527d0448fc445066334cbc4ec85c7104c6ed65db53594ff0fb2128f61e385ed",
+    "naive@11": "207f66720bc55f84dc86e1ceb2437a1c1c498538b019476d2762e5624a4328d5",
 }
 
 
@@ -188,20 +190,29 @@ BUILDERS = {
 
 def single_node_config(seed: int, **overrides) -> FleetConfig:
     """The single-node server's settings as a one-shard fleet."""
-    return FleetConfig(
+    settings = dict(
         seed=seed, shards=1, autoscale=False, hedging=True, queue_depth=8,
-        tenant_default=TenantQuota(rate=400.0, burst=16), **overrides,
+        tenant_default=TenantQuota(rate=400.0, burst=16),
     )
+    return FleetConfig(**{**settings, **overrides})
 
 
-def single_case(seed: int):
-    """The ``server`` case's trace through a one-shard fleet."""
+def single_case(seed: int, **overrides):
+    """A 4x spike with 30 ms deadlines through a one-shard fleet."""
     pool = WorkloadPool(seed=seed)
     requests = synthetic_trace(
         pool, duration_s=1.0, base_rate=300.0, spike_factor=4.0,
         deadline_s=0.03, seed=seed,
     )
-    return TensaurusFleet(single_node_config(seed), pool=pool), requests, []
+    config = single_node_config(seed, **overrides)
+    return TensaurusFleet(config, pool=pool), requests, []
+
+
+def naive_case(seed: int):
+    """``single_case``'s trace through the naive baseline."""
+    return single_case(
+        seed, hedging=False, serving=ServingConfig(shedding=False)
+    )
 
 
 def single_chaos_case(seed: int):
@@ -222,6 +233,7 @@ def single_chaos_case(seed: int):
 SINGLE_NODE = {
     "single": single_case,
     "single-chaos": single_chaos_case,
+    "naive": naive_case,
 }
 
 
@@ -233,14 +245,6 @@ def decision_digest(result) -> str:
 
 
 def run_case(case: str) -> str:
-    if case == "server":
-        pool = WorkloadPool(seed=11)
-        requests = synthetic_trace(
-            pool, duration_s=1.0, base_rate=300.0, spike_factor=4.0,
-            deadline_s=0.03, seed=11,
-        )
-        server = TensaurusServer(ServingConfig(seed=11), pool=pool)
-        return decision_digest(server.run_trace(requests))
     name, seed = case.rsplit("@", 1)
     if name in BUILDERS:
         fleet, requests, kills = BUILDERS[name](int(seed))
@@ -253,7 +257,7 @@ def run_case(case: str) -> str:
 
 CASES = [
     f"{name}@{seed}" for name in (*SHAPES, *BUILDERS) for seed in SEEDS
-] + ["server", "single@11", "single-chaos@23"]
+] + ["single@11", "single-chaos@23", "naive@11"]
 
 
 @pytest.mark.parametrize("case", CASES)

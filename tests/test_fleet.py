@@ -1,6 +1,6 @@
 """Tests for the sharded serving fleet (:mod:`repro.serving.fleet`):
-consistent-hash ring, tenant governor, health monitor, server drain
-hooks, and the fleet event loop's routing/fairness/determinism."""
+consistent-hash ring, tenant governor, health monitor, and the fleet
+event loop's routing/fairness/determinism."""
 
 import subprocess
 import sys
@@ -22,7 +22,6 @@ from repro.serving import (
     TenantGovernor,
     TenantQuota,
     TensaurusFleet,
-    TensaurusServer,
     WorkloadPool,
     synthetic_trace,
 )
@@ -227,32 +226,6 @@ class TestHealthMonitor:
                           critical_score=0.2)
 
 
-class TestServerDrainHooks:
-    def test_draining_server_rejects_arrivals(self, pool):
-        server = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=1), calibrate=False, pool=pool
-        )
-        server.begin_drain()
-        req = ServingRequest(
-            request_id=0, arrival_s=0.0, kernel="spmv",
-            workload="matrix-s", deadline_s=0.05,
-        )
-        result = server.run_trace([req])
-        resp = result.responses[0]
-        assert resp.status == STATUS_REJECTED
-        assert resp.detail["reason"] == "draining"
-
-    def test_handoff_state_shape(self, pool):
-        server = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2), calibrate=False, pool=pool
-        )
-        state = server.handoff_state()
-        assert state["draining"] is False
-        assert len(state["breakers"]) == 2
-        assert len(state["cache_info"]) == 2
-        assert state["bucket_tokens"] > 0
-
-
 class TestFleetConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -265,6 +238,10 @@ class TestFleetConfig:
             FleetConfig(shards=9, max_shards=6)
         with pytest.raises(ConfigError):
             FleetConfig(cold_encode_s=-1.0)
+        with pytest.raises(ConfigError):
+            FleetConfig(replicas_per_shard=0)
+        with pytest.raises(ConfigError):
+            FleetConfig(queue_depth=0)
 
 
 class TestFleet:

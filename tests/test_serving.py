@@ -1,6 +1,7 @@
 """Tests for the overload-safe serving layer (:mod:`repro.serving`):
 token bucket, circuit breaker, degradation ladder, workload pool,
-synthetic traces, and the deterministic virtual-time server."""
+synthetic traces, and the single-node server, a one-shard fleet
+(:meth:`repro.serving.FleetConfig.single_node`)."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from repro.serving import (
     BREAKER_OPEN,
     CircuitBreaker,
     DegradationLadder,
+    FleetConfig,
     ServingConfig,
     ServingRequest,
-    TensaurusServer,
+    TenantQuota,
+    TensaurusFleet,
     TIER_ANALYTIC,
     TIER_BATCHED,
     TIER_FULL,
@@ -133,12 +136,6 @@ class TestCircuitBreaker:
             (0.7, BREAKER_HALF_OPEN, BREAKER_CLOSED),
         ]
 
-    def test_state_codes(self):
-        brk = CircuitBreaker(failure_threshold=1)
-        assert brk.state_code == 0
-        brk.record_failure(0.0)
-        assert brk.state_code == 1
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             CircuitBreaker(failure_threshold=0)
@@ -204,17 +201,15 @@ class TestServingConfig:
     def test_defaults_valid(self):
         ServingConfig()
 
-    # The ids keep the numbers the cases had while a fourth case checked
-    # the removed ``default_deadline_s`` field.
+    # The ids keep the numbers the cases had while earlier cases checked
+    # the removed ``replicas``, ``queue_depth``, ``bucket_rate`` and
+    # ``default_deadline_s`` fields.
     @pytest.mark.parametrize("kwargs", [
-        {"replicas": 0},
-        {"queue_depth": 0},
-        {"bucket_rate": 0.0},
         {"full_headroom": 1.5},
         {"hedge_trigger": 0.5},
         {"service_jitter": -0.1},
         {"analytic_base_s": -1.0},
-    ], ids=[f"kwargs{i}" for i in (0, 1, 2, 4, 5, 6, 7)])
+    ], ids=[f"kwargs{i}" for i in (4, 5, 6, 7)])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ServingConfig(**kwargs)
@@ -318,19 +313,22 @@ class TestSyntheticTrace:
             synthetic_trace(pool, spike_window=(0.9, 0.1))
 
 
+def single_node(pool, calibrate=True, seed=SEED, **overrides):
+    """A one-shard fleet with the single-node server's settings."""
+    config = FleetConfig.single_node(seed=seed, **overrides)
+    return TensaurusFleet(config, pool=pool, calibrate=calibrate)
+
+
 class TestServerDeterminism:
     def test_same_seed_same_decisions(self, pool, trace):
-        cfg = ServingConfig(seed=SEED, replicas=2)
-        r1 = TensaurusServer(cfg, pool=pool).run_trace(trace)
-        r2 = TensaurusServer(cfg, pool=WorkloadPool(seed=SEED)).run_trace(trace)
+        r1 = single_node(pool).run_trace(trace)
+        r2 = single_node(WorkloadPool(seed=SEED)).run_trace(trace)
         assert r1.decision_log == r2.decision_log
         assert [r.log_row() for r in r1.responses] == \
                [r.log_row() for r in r2.responses]
 
     def test_full_tier_bit_identical_to_direct_run(self, pool, trace):
-        result = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2), pool=pool
-        ).run_trace(trace)
+        result = single_node(pool).run_trace(trace)
         direct = Tensaurus()
         checked = 0
         for resp in result.responses:
@@ -349,39 +347,35 @@ class TestServerDeterminism:
 
 class TestServerOverload:
     def test_guarded_beats_naive_under_spike(self, pool, trace):
-        guarded = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2), pool=pool
-        ).run_trace(trace)
-        naive = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2, shedding=False),
-            pool=pool, calibrate=False,
+        guarded = single_node(pool).run_trace(trace)
+        naive = single_node(
+            pool, calibrate=False, hedging=False,
+            serving=ServingConfig(shedding=False),
         ).run_trace(trace)
         assert naive.served_fraction == 1.0  # never sheds...
         assert naive.deadline_hit_rate < 0.5  # ...but collapses on deadlines
+        # ...because it serves in arrival order, priorities unseen.
+        by_start = sorted(naive.responses, key=lambda r: r.start_s)
+        arrivals = [r.arrival_s for r in by_start]
+        assert arrivals == sorted(arrivals)
         assert guarded.deadline_hit_rate >= 0.95
         assert guarded.counters["rejected"] + guarded.counters["shed"] > 0
 
     def test_every_request_gets_a_response(self, pool, trace):
-        result = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2), pool=pool
-        ).run_trace(trace)
+        result = single_node(pool).run_trace(trace)
         assert len(result.responses) == len(trace)
         assert [r.request_id for r in result.responses] == \
                sorted(r.request_id for r in trace)
 
     def test_rejections_carry_retry_after(self, pool, trace):
-        result = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2), pool=pool
-        ).run_trace(trace)
+        result = single_node(pool).run_trace(trace)
         rejected = [r for r in result.responses if r.status == "rejected"]
         assert rejected
         assert all(r.retry_after_s > 0 for r in rejected
-                   if r.detail.get("reason") == "token_bucket")
+                   if r.detail.get("reason") == "tenant_quota")
 
     def test_degradation_under_load(self, pool, trace):
-        result = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2), pool=pool
-        ).run_trace(trace)
+        result = single_node(pool).run_trace(trace)
         tiers = {r.tier for r in result.responses if r.status == "ok"}
         assert TIER_FULL in tiers and len(tiers) > 1
         for resp in result.responses:
@@ -397,10 +391,9 @@ class TestServerOverload:
             pool, duration_s=0.3, base_rate=400.0, spike_factor=1.0,
             deadline_s=0.08, seed=9,
         )
-        result = TensaurusServer(
-            ServingConfig(seed=9, replicas=1, queue_depth=3,
-                          bucket_rate=5000.0, bucket_burst=1000),
-            pool=pool,
+        result = single_node(
+            pool, seed=9, replicas_per_shard=1, queue_depth=3,
+            tenant_default=TenantQuota(rate=5000.0, burst=1000),
         ).run_trace(reqs)
         assert result.counters["evicted"] > 0
         evicted = {r.request_id for r in result.responses
@@ -413,10 +406,9 @@ class TestServerOverload:
             pool, duration_s=0.2, base_rate=60.0, spike_factor=1.0,
             deadline_s=0.2, seed=13,
         )
-        result = TensaurusServer(
-            ServingConfig(seed=13, replicas=3, hedge_trigger=1.0,
-                          service_jitter=0.8),
-            pool=pool,
+        result = single_node(
+            pool, seed=13, replicas_per_shard=3,
+            serving=ServingConfig(hedge_trigger=1.0, service_jitter=0.8),
         ).run_trace(reqs)
         assert result.counters["hedged"] > 0
         hedged = [r for r in result.responses if r.hedged]
@@ -427,9 +419,7 @@ class TestServerOverload:
             assert resp.finish_s is not None
 
     def test_summary_shape(self, pool, trace):
-        result = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2), pool=pool
-        ).run_trace(trace)
+        result = single_node(pool).run_trace(trace)
         summary = result.summary()
         for key in ("requests", "served", "deadline_hit_rate",
                     "degraded_fraction", "analytic_error_bound",

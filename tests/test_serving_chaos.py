@@ -1,6 +1,6 @@
 """Seeded chaos test: a FaultPlan layered under an overload trace.
 
-The serving layer must absorb launch aborts arriving *during* a 10x
+The single-node server (a one-shard fleet) must absorb launch aborts arriving *during* a 10x
 overload spike without ever surfacing an exception: circuit breakers
 open and recover, faulted requests degrade to the host-side analytic
 tier, and every non-shed response is either bit-identical to a direct
@@ -13,8 +13,8 @@ import pytest
 
 from repro.serving import (
     BREAKER_OPEN,
-    ServingConfig,
-    TensaurusServer,
+    FleetConfig,
+    TensaurusFleet,
     TIER_FULL,
     WorkloadPool,
     synthetic_trace,
@@ -41,11 +41,11 @@ def trace(pool):
 @pytest.fixture(scope="module")
 def chaos_result(pool, trace):
     plan = FaultPlan(seed=SEED, launch_abort_rate=0.5, hbm_stall_rate=0.02)
-    server = TensaurusServer(
-        ServingConfig(seed=SEED, replicas=2), fault_plan=plan, pool=pool
+    fleet = TensaurusFleet(
+        FleetConfig.single_node(seed=SEED), fault_plan=plan, pool=pool
     )
     # The whole point: this must not raise.
-    return server.run_trace(trace)
+    return fleet.run_trace(trace)
 
 
 class TestChaosUnderOverload:
@@ -100,8 +100,8 @@ class TestChaosUnderOverload:
 
     def test_chaos_replay_is_deterministic(self, chaos_result, pool, trace):
         plan = FaultPlan(seed=SEED, launch_abort_rate=0.5, hbm_stall_rate=0.02)
-        replay = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2),
+        replay = TensaurusFleet(
+            FleetConfig.single_node(seed=SEED),
             fault_plan=plan, pool=WorkloadPool(seed=SEED),
         ).run_trace(trace)
         assert replay.decision_log == chaos_result.decision_log
@@ -120,13 +120,19 @@ class TestTotalBackendLoss:
         """Abort rate 1.0: every launch faults, both breakers latch open,
         yet every admitted request is served from the analytic tier."""
         plan = FaultPlan(seed=SEED, launch_abort_rate=1.0)
-        result = TensaurusServer(
-            ServingConfig(seed=SEED, replicas=2), fault_plan=plan, pool=pool
-        ).run_trace(trace)
+        fleet = TensaurusFleet(
+            FleetConfig.single_node(seed=SEED), fault_plan=plan, pool=pool
+        )
+        result = fleet.run_trace(trace)
         assert result.counters["failed"] == 0
         served = [r for r in result.responses if r.status == "ok"]
         assert served
         assert all(r.degraded and r.tier == "analytic" for r in served)
-        opened = {r for r, _, _, new in result.breaker_transitions
-                  if new == BREAKER_OPEN}
+        # Fleet breaker transitions name the shard; each replica's own
+        # breaker names the replica.
+        opened = {
+            replica
+            for replica, brk in enumerate(fleet.shards[0].server.breakers)
+            if any(new == BREAKER_OPEN for _, _, new in brk.transitions)
+        }
         assert opened == {0, 1}

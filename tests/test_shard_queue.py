@@ -3,8 +3,9 @@
 
 Every operation is checked against :class:`ListQueue`, the plain list
 with the two ``min`` scans the fleet's event loop used before the queue
-was indexed, so a pick or eviction that differs from the scan fails here
-before it can move a decision log.
+was indexed (plus the naive baseline's pop of the oldest entry), so a
+pick or eviction that differs from the scan fails here before it can
+move a decision log.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ class ListQueue:
             ),
         )
         return self.items.pop(best_i)
+
+    def pop_oldest(self):
+        return self.items.pop(0)
 
     def victim(self):
         victim_i = min(
@@ -101,6 +105,10 @@ class QueuePair:
             got = self.queue.pop_fairest(self.fairness_key)
             want = self.ref.pop_fairest(self.fairness_key)
             assert got[0] is want[0] and got[1] == want[1]
+        elif kind == "pop_oldest" and self.ref:
+            got = self.queue.pop_oldest()
+            want = self.ref.pop_oldest()
+            assert got[0] is want[0] and got[1] == want[1]
         elif kind == "evict" and self.ref:
             victim = self.queue.victim()
             assert victim is self.ref.victim()
@@ -125,6 +133,7 @@ operation = st.one_of(
         st.sampled_from(ARRIVALS), st.integers(0, 2),
     ),
     st.just(("pop",)),
+    st.just(("pop_oldest",)),
     st.just(("evict",)),
     # Charges that tie tenants' fairness keys, and ones that reorder them
     # between pops.
