@@ -333,7 +333,7 @@ class ShardQueue:
 
 
 class FleetShard:
-    """One shard: a server bundle plus fleet-side queue and cache state."""
+    """One shard: a replica bundle plus fleet-side queue and cache state."""
 
     def __init__(
         self,

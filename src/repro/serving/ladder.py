@@ -3,7 +3,7 @@
 Under light load every request gets the real thing: a cycle-accurate
 simulation with numeric output, bit-identical to calling
 :meth:`repro.sim.Tensaurus.run_mttkrp` directly. As deadline headroom
-or queue capacity shrinks the server steps down the ladder:
+or queue capacity shrinks the fleet steps down the ladder:
 
 - ``full``     — cycle simulator, ``compute_output=True``;
 - ``batched``  — cycle simulator, ``compute_output=False`` (identical
@@ -11,8 +11,8 @@ or queue capacity shrinks the server steps down the ladder:
 - ``analytic`` — :class:`repro.sim.perfmodel.FastModel` closed-form
   estimate (flagged degraded, with a calibrated cycle-error bound).
 
-The analytic tier needs no backend at all, which is also what keeps the
-server answering when every replica's circuit breaker is open.
+The analytic tier needs no backend at all, which is also what keeps a
+shard answering when every replica's circuit breaker is open.
 
 Both simulators are deterministic per (config, operands), so the ladder
 memoizes launches: each (kernel, workload) is simulated once per ladder,

@@ -16,9 +16,9 @@ from repro.util.errors import ConfigError
 
 #: Terminal request statuses.
 STATUS_OK = "ok"
-STATUS_REJECTED = "rejected"  # token bucket / queue bound said no
-STATUS_SHED = "shed"          # infeasible deadline or evicted under load
-STATUS_FAILED = "failed"      # every fallback (including analytic) failed
+STATUS_REJECTED = "rejected"  # tenant token bucket / queue bound said no
+STATUS_SHED = "shed"          # evicted from a full queue by a higher priority
+STATUS_FAILED = "failed"      # overflowed the re-deal cap after a shard kill
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ServingRequest:
     ``arrival_s + deadline_s``. Priorities are small ints, higher wins;
     under queue pressure a new high-priority arrival may evict a queued
     strictly-lower-priority request. ``tenant`` names the quota bucket
-    the fleet charges this request against (single-server traces can
+    the fleet charges this request against (single-tenant traces can
     leave the default).
     """
 
