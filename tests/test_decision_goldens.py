@@ -25,14 +25,15 @@ each takes a new value, so every decision log moves. That change was
 the only one in the commit that re-computed them; every later change
 must match them unedited.
 
-The ``single`` cases run the single-node server's settings (one shard,
-two replicas, no autoscaling, hedging on, an 8-deep queue and a
-400 req/s, burst-16 admission bucket) as a one-shard fleet:
-``single@11`` on the trace the deleted single-node server loop's
-``server`` case ran, ``single-chaos@23`` on
+The ``single`` cases run the single-node server's settings as a
+one-shard fleet: ``single@11`` on the trace the deleted single-node
+server loop's ``server`` case ran, ``single-chaos@23`` on
 ``tests/test_serving_chaos.py``'s trace and fault plan. Both were
-computed with the fleet loop as it stood while the server still had a
-loop of its own. ``naive@11`` runs ``single@11``'s trace through the
+computed while the server still had a loop of its own, with the fleet
+config spelled out (one shard, two replicas, no autoscaling, hedging
+on, an 8-deep queue and a 400 req/s, burst-16 admission bucket); they
+now build it with :meth:`FleetConfig.single_node`, so they pin that
+constructor's settings too. ``naive@11`` runs ``single@11``'s trace through the
 naive baseline (``ServingConfig(shedding=False)``, no hedging); it has
 no parent reference: it was first computed with the naive path in the
 fleet loop.
@@ -188,15 +189,6 @@ BUILDERS = {
 }
 
 
-def single_node_config(seed: int, **overrides) -> FleetConfig:
-    """The single-node server's settings as a one-shard fleet."""
-    settings = dict(
-        seed=seed, shards=1, autoscale=False, hedging=True, queue_depth=8,
-        tenant_default=TenantQuota(rate=400.0, burst=16),
-    )
-    return FleetConfig(**{**settings, **overrides})
-
-
 def single_case(seed: int, **overrides):
     """A 4x spike with 30 ms deadlines through a one-shard fleet."""
     pool = WorkloadPool(seed=seed)
@@ -204,7 +196,7 @@ def single_case(seed: int, **overrides):
         pool, duration_s=1.0, base_rate=300.0, spike_factor=4.0,
         deadline_s=0.03, seed=seed,
     )
-    config = single_node_config(seed, **overrides)
+    config = FleetConfig.single_node(seed=seed, **overrides)
     return TensaurusFleet(config, pool=pool), requests, []
 
 
@@ -224,7 +216,7 @@ def single_chaos_case(seed: int):
     )
     plan = FaultPlan(seed=seed, launch_abort_rate=0.5, hbm_stall_rate=0.02)
     fleet = TensaurusFleet(
-        single_node_config(seed), fault_plan=plan, pool=pool
+        FleetConfig.single_node(seed=seed), fault_plan=plan, pool=pool
     )
     return fleet, requests, []
 
