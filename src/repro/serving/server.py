@@ -38,14 +38,13 @@ class TensaurusServer:
         serving_config: ServingConfig,
         replicas: int,
         seed: int,
-        sim_config: Optional[TensaurusConfig] = None,
+        sim_config: TensaurusConfig,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.config = serving_config
         #: root of the per-launch speed draws (the fleet derives one per
         #: shard).
         self.seed = seed
-        sim_config = sim_config or TensaurusConfig()
         # Distinct fault epochs per replica: each backend draws an
         # independent (but deterministic) fault stream.
         self.accelerators = [

@@ -1,11 +1,12 @@
 """Seeded chaos test: a FaultPlan layered under an overload trace.
 
-The single-node server (a one-shard fleet) must absorb launch aborts arriving *during* a 10x
-overload spike without ever surfacing an exception: circuit breakers
-open and recover, faulted requests degrade to the host-side analytic
-tier, and every non-shed response is either bit-identical to a direct
-fault-free run (full tier — launch aborts never corrupt a successful
-launch's arithmetic) or explicitly flagged ``degraded``.
+The single-node server (a one-shard fleet) must absorb launch aborts
+arriving *during* a 10x overload spike without ever surfacing an
+exception: circuit breakers open and recover, faulted requests degrade
+to the host-side analytic tier, and every non-shed response is either
+bit-identical to a direct fault-free run (full tier — launch aborts
+never corrupt a successful launch's arithmetic) or explicitly flagged
+``degraded``.
 """
 
 import numpy as np
