@@ -221,7 +221,7 @@ def single_chaos_case(seed: int):
     return fleet, requests, []
 
 
-#: Cases run at one seed each, named ``<builder>@<seed>`` like the rest.
+#: Cases run at one seed each, named ``<name>@<seed>`` like the rest.
 SINGLE_NODE = {
     "single": single_case,
     "single-chaos": single_chaos_case,
