@@ -8,7 +8,7 @@ comparison to ``BENCH_serving.json``:
 1. **guarded** — admission control + degradation ladder + hedging on.
    Gate: >= 95% of *served* responses meet their deadline, and the
    analytic-tier error bound is reported.
-2. **naive** — ``ServingConfig(shedding=False)`` without hedging: no
+2. **naive** — ``FleetConfig.shedding=False`` without hedging: no
    quota or queue bound, arrival-order dispatch, always full tier.
    Gate: < 50% of its responses meet their deadline under the spike
    (the queueing collapse the guarded server avoids).
@@ -37,7 +37,6 @@ import numpy as np
 from repro.serving import (
     TIER_FULL,
     FleetConfig,
-    ServingConfig,
     TensaurusFleet,
     WorkloadPool,
     synthetic_trace,
@@ -87,9 +86,7 @@ def bench_overload(duration_s: float, base_rate: float):
     ] == [r.log_row() for r in replay.responses]
 
     naive = TensaurusFleet(
-        FleetConfig.single_node(
-            seed=SEED, hedging=False, serving=ServingConfig(shedding=False)
-        ),
+        FleetConfig.single_node(seed=SEED, hedging=False, shedding=False),
         pool=pool, calibrate=False,
     ).run_trace(trace)
 

@@ -451,8 +451,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
     from repro.serving import (
-        FleetConfig, ServingConfig, TensaurusFleet, WorkloadPool,
-        synthetic_trace,
+        FleetConfig, TensaurusFleet, WorkloadPool, synthetic_trace,
     )
     from repro.serving.trace import trace_stats
 
@@ -468,8 +467,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         fault_plan = FaultPlan(seed=args.seed, launch_abort_rate=args.faults)
     config = FleetConfig.single_node(
         seed=args.seed, replicas_per_shard=args.replicas,
-        hedging=not args.naive,
-        serving=ServingConfig(shedding=not args.naive),
+        hedging=not args.naive, shedding=not args.naive,
     )
     fleet = TensaurusFleet(
         config, fault_plan=fault_plan, pool=pool, calibrate=not args.naive

@@ -85,7 +85,6 @@ __all__ = [
     "metrics",
     "request_tracer",
     "probe",
-    "enabled",
     "set_tracer",
     "set_registry",
     "set_request_tracer",
@@ -118,16 +117,6 @@ def request_tracer() -> Union[RequestTracer, NullRequestTracer]:
 def probe() -> Union[ChaosProbe, NullProbe]:
     """The active chaos probe (null unless one is installed)."""
     return _PROBE
-
-
-def enabled() -> bool:
-    """True when any observer (tracer/registry/request tracer) is live."""
-    return (
-        _TRACER.enabled
-        or _REGISTRY.enabled
-        or _REQUEST_TRACER.enabled
-        or _PROBE.enabled
-    )
 
 
 def set_tracer(

@@ -28,8 +28,11 @@ seeded consistent-hash ring (cache-affinity routing on workload
 fingerprints), with per-tenant quotas and weighted-fair dispatch, shard
 health monitoring with seeded autoscaling, and cross-shard failover
 that re-deals a dead shard's work to survivors exactly once. A
-single-node server is a one-shard fleet without autoscaling. See
-``ARCHITECTURE.md`` ("Serving fleet").
+single-node server is a one-shard fleet without autoscaling.
+:class:`repro.serving.fleet.FleetConfig` is the only serving config;
+the service-time model, breaker, tier, hedge and cache settings are
+module constants of :mod:`repro.serving.server` and
+:mod:`repro.serving.fleet`. See ``ARCHITECTURE.md`` ("Serving fleet").
 """
 
 from repro.serving.breaker import (
@@ -39,7 +42,6 @@ from repro.serving.breaker import (
     CircuitBreaker,
     TokenBucket,
 )
-from repro.serving.config import ServingConfig
 from repro.serving.fleet import (
     ROUTING_AFFINITY,
     ROUTING_RANDOM,
@@ -91,7 +93,6 @@ __all__ = [
     "BREAKER_OPEN",
     "CircuitBreaker",
     "TokenBucket",
-    "ServingConfig",
     "TIER_FULL",
     "TIER_BATCHED",
     "TIER_ANALYTIC",

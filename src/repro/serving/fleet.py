@@ -47,10 +47,15 @@ kills included. Each decision is reported once, through the loop's
 observers installed for the replay: the request tracer folds them into
 span trees and the chaos probe keeps them (:mod:`repro.obs.probe`).
 
-``ServingConfig.shedding=False`` turns the loop into the naive baseline
+``FleetConfig.shedding=False`` turns the loop into the naive baseline
 the serving benchmark compares against: arrivals skip the tenant quota
 and the queue bound, each shard dispatches its queue in arrival order,
 and every launch takes the full tier.
+
+The tier rule's headroom, the hedge trigger, the ring's arcs per shard,
+the warm-cache size, the cold-encode cost and the failover and spin-up
+delays are this module's constants; the per-tier service costs and the
+speed jitter are :mod:`repro.serving.server`'s.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ import numpy as np
 
 from repro import obs
 from repro.serving.breaker import BREAKER_CLOSED
-from repro.serving.config import ServingConfig
 from repro.serving.health import (
     HEALTH_CRITICAL,
     HEALTH_HEALTHY,
@@ -88,7 +92,7 @@ from repro.serving.request import (
     ServingResponse,
 )
 from repro.serving.ring import HashRing
-from repro.serving.server import TensaurusServer
+from repro.serving.server import TensaurusServer, nominal_s
 from repro.serving.tenant import TenantGovernor, TenantQuota
 from repro.serving.trace import WorkloadPool
 from repro.sim.config import TensaurusConfig
@@ -105,6 +109,28 @@ ROUTING_RANDOM = "random"
 #: Fraction of the nominal service time after which a faulted launch is
 #: detected (aborts surface early, not at the would-be completion).
 _FAULT_DETECT_FRACTION = 0.25
+#: Fractions of the remaining deadline budget the nominal service time
+#: must fit inside to stay at the full / batched tier. Misses degrade
+#: one tier further; admitted work is never shed, so the floor is the
+#: analytic tier (a request already past its deadline is answered there
+#: and counted ``late``).
+_FULL_HEADROOM = 0.8
+_BATCHED_HEADROOM = 0.9
+#: Queue backlog at or above which dispatch skips the full tier outright.
+_DEGRADE_QUEUE_DEPTH = 6
+#: With hedging on, a full-tier primary whose jittered service time
+#: exceeds this multiple of the nominal estimate gets a twin launch.
+_HEDGE_TRIGGER = 1.6
+#: Ring arcs per shard.
+_VNODES = 48
+#: LRU capacity of each shard's (virtual) encoding-cache mirror.
+_WARM_CACHE_ENTRIES = 6
+#: Extra virtual seconds a cold (workload, shard) first touch pays.
+_COLD_ENCODE_S = 1.0e-2
+#: Virtual seconds between a shard death and its work re-arriving.
+_FAILOVER_DETECT_S = 0.005
+#: Virtual seconds a freshly spun shard needs before serving.
+_SPINUP_DELAY_S = 0.02
 
 #: Event kinds, in tie-break order at equal virtual time.
 _EV_COMPLETION = 0
@@ -119,23 +145,19 @@ _EV_KICK = 5
 class FleetConfig:
     """Knobs for :class:`TensaurusFleet`.
 
-    ``serving`` carries the per-shard service-time model, breaker and
-    degradation settings, and the ``shedding`` switch. Each shard gets
-    ``replicas_per_shard`` replicas and a seed derived from ``seed``.
-    Admission is per tenant (``tenant_default``, ``tenant_quotas``).
-    :meth:`single_node` gives the single-node server's settings.
+    Each shard gets ``replicas_per_shard`` replicas and a seed derived
+    from ``seed``. Admission is per tenant (``tenant_default``,
+    ``tenant_quotas``). The service-time model, breaker, tier, hedge and
+    cache settings are module constants, here and in
+    :mod:`repro.serving.server`. :meth:`single_node` gives the
+    single-node server's settings.
     """
 
     seed: int = DEFAULT_SEED
     shards: int = 3
     replicas_per_shard: int = 2
-    vnodes: int = 48
     routing: str = ROUTING_AFFINITY
     queue_depth: int = 24
-    #: LRU capacity of each shard's (virtual) encoding-cache mirror.
-    shard_cache_entries: int = 6
-    #: extra virtual seconds a cold (workload, shard) first touch pays.
-    cold_encode_s: float = 1.0e-2
     #: shards the autoscaler may not go below / above.
     min_shards: int = 2
     max_shards: int = 6
@@ -145,10 +167,6 @@ class FleetConfig:
     scale_up_queue_depth: float = 6.0
     #: consecutive idle ticks before a shard is drained down.
     scale_down_idle_ticks: int = 4
-    #: virtual seconds a freshly spun shard needs before serving.
-    spinup_delay_s: float = 0.02
-    #: virtual seconds between a shard death and its work re-arriving.
-    failover_detect_s: float = 0.005
     #: most requests a single failover may re-deal; overflow fails fast.
     failover_redeal_cap: int = 4096
     #: ticks continue this long past the last arrival (lets the fleet
@@ -162,7 +180,11 @@ class FleetConfig:
     hedging: bool = False
     tenant_default: TenantQuota = field(default_factory=TenantQuota)
     tenant_quotas: Tuple[Tuple[str, TenantQuota], ...] = ()
-    serving: ServingConfig = field(default_factory=ServingConfig)
+    #: ``False`` is the naive baseline the serving benchmark compares
+    #: against: arrivals skip the tenant quota and the queue bound, each
+    #: shard dispatches in arrival order, and every launch takes the full
+    #: tier. Breakers, hedging and failover still apply.
+    shedding: bool = True
 
     @classmethod
     def single_node(cls, **overrides: Any) -> "FleetConfig":
@@ -187,8 +209,6 @@ class FleetConfig:
             )
         if self.queue_depth <= 0:
             raise ConfigError("queue_depth must be positive")
-        if self.shard_cache_entries <= 0:
-            raise ConfigError("shard_cache_entries must be positive")
         if not 0 < self.min_shards <= self.max_shards:
             raise ConfigError("need 0 < min_shards <= max_shards")
         if self.shards > self.max_shards:
@@ -199,10 +219,7 @@ class FleetConfig:
             raise ConfigError("scale_down_idle_ticks must be positive")
         if self.failover_redeal_cap <= 0:
             raise ConfigError("failover_redeal_cap must be positive")
-        for name in (
-            "cold_encode_s", "spinup_delay_s", "failover_detect_s",
-            "horizon_pad_s", "scale_up_queue_depth",
-        ):
+        for name in ("horizon_pad_s", "scale_up_queue_depth"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
 
@@ -352,7 +369,7 @@ class FleetShard:
             else None
         )
         self.server = TensaurusServer(
-            fleet_config.serving, fleet_config.replicas_per_shard,
+            fleet_config.replicas_per_shard,
             derive_seed(fleet_config.seed, "shard", sid), sim_config,
             fault_plan=forwarded,
         )
@@ -362,7 +379,7 @@ class FleetShard:
         self.queue = ShardQueue()
         #: LRU mirror of the shard's encoding cache: workload fingerprints
         #: whose streams are resident (cold first touch pays
-        #: ``cold_encode_s``).
+        #: ``_COLD_ENCODE_S``).
         self.warm: "OrderedDict[str, bool]" = OrderedDict()
         self.alive = True
         self.draining = False
@@ -381,7 +398,7 @@ class FleetShard:
             i for i, t in enumerate(self.free_at) if t <= now + 1e-15
         ]
 
-    def warm_touch(self, key: str, capacity: int) -> bool:
+    def warm_touch(self, key: str) -> bool:
         """LRU lookup-and-insert; True on a warm hit."""
         hit = key in self.warm
         if hit:
@@ -390,7 +407,7 @@ class FleetShard:
         else:
             self.warm[key] = True
             self.stats["cache_misses"] += 1
-            while len(self.warm) > capacity:
+            while len(self.warm) > _WARM_CACHE_ENTRIES:
                 self.warm.popitem(last=False)
         return hit
 
@@ -546,7 +563,7 @@ class TensaurusFleet:
                 )
             self.ladder = DegradationLadder(self.sim_config, error_bound)
         self.ring = HashRing(
-            vnodes=self.config.vnodes,
+            vnodes=_VNODES,
             seed=derive_seed(self.config.seed, "ring"),
         )
         self.governor = TenantGovernor(
@@ -688,7 +705,7 @@ class TensaurusFleet:
         fairness_key = self.governor.fairness_key
         # False for the naive baseline: no quota or queue bound, arrival
         # order, full tier only.
-        shedding = cfg.serving.shedding
+        shedding = cfg.shedding
 
         def record(now: float, rid: int, kind: str, info: str = "",
                    *facts: Any) -> None:
@@ -709,9 +726,6 @@ class TensaurusFleet:
             counters["shed" if status == STATUS_SHED else "rejected"] += 1
             rejected_c.inc()
             record(now, req.request_id, status, reason, req)
-
-        def nominal_s(shard: FleetShard, tier: str, nnz: int) -> float:
-            return shard.server._nominal_s(tier, nnz)
 
         # -------------------------------------------------- admission
         def arrival(req: ServingRequest, now: float) -> None:
@@ -754,20 +768,15 @@ class TensaurusFleet:
             if not shedding:
                 return TIER_FULL
             remaining = req.absolute_deadline_s - now
-            scfg = shard.server.config
             if remaining <= 0:
                 counters["late"] += 1
                 return TIER_ANALYTIC
             if (
-                len(shard.queue) < scfg.degrade_queue_depth
-                and nominal_s(shard, TIER_FULL, nnz)
-                <= remaining * scfg.full_headroom
+                len(shard.queue) < _DEGRADE_QUEUE_DEPTH
+                and nominal_s(TIER_FULL, nnz) <= remaining * _FULL_HEADROOM
             ):
                 return TIER_FULL
-            if (
-                nominal_s(shard, TIER_BATCHED, nnz)
-                <= remaining * scfg.batched_headroom
-            ):
+            if nominal_s(TIER_BATCHED, nnz) <= remaining * _BATCHED_HEADROOM:
                 return TIER_BATCHED
             return TIER_ANALYTIC
 
@@ -781,7 +790,7 @@ class TensaurusFleet:
             report, _, err = self.ladder.execute(
                 TIER_ANALYTIC, item, req.kernel
             )
-            service = nominal_s(shard, TIER_ANALYTIC, item.nnz)
+            service = nominal_s(TIER_ANALYTIC, item.nnz)
             resp = ServingResponse(
                 request_id=req.request_id, status=STATUS_OK,
                 tier=TIER_ANALYTIC, degraded=True, error_bound=err,
@@ -828,12 +837,10 @@ class TensaurusFleet:
             # so a probe stream showing "open" here is a real violation).
             launch_state = breakers[replica].state
             breakers[replica].start_probe(now)
-            nominal = nominal_s(shard, tier, item.nnz)
+            nominal = nominal_s(tier, item.nnz)
             factor = shard.server._speed_factor(rid, replica, "primary")
-            hit = shard.warm_touch(
-                item.fingerprint, cfg.shard_cache_entries
-            )
-            cold_extra = 0.0 if hit else cfg.cold_encode_s
+            hit = shard.warm_touch(item.fingerprint)
+            cold_extra = 0.0 if hit else _COLD_ENCODE_S
             counters["cache_hits" if hit else "cache_misses"] += 1
             cache_c.labels(outcome="hit" if hit else "miss").inc()
             try:
@@ -871,12 +878,11 @@ class TensaurusFleet:
                 report=report,
                 detail={"cache": "hit" if hit else "cold"},
             )
-            scfg = shard.server.config
             twin: Optional[int] = None
             if (
                 cfg.hedging
                 and tier == TIER_FULL
-                and nominal * factor > scfg.hedge_trigger * nominal
+                and nominal * factor > _HEDGE_TRIGGER * nominal
             ):
                 # Slow primary draw: race a twin launch on another
                 # replica. Both completions are real events — whichever
@@ -889,7 +895,7 @@ class TensaurusFleet:
                 # A pure read: allow(hedge_start) would move an open
                 # breaker to half-open at a future time, letting an
                 # earlier event probe it before its cooldown is over.
-                hedge_start = now + scfg.hedge_trigger * nominal
+                hedge_start = now + _HEDGE_TRIGGER * nominal
                 backups = [
                     i for i in shard.idle_replicas(hedge_start)
                     if i != replica
@@ -1093,7 +1099,7 @@ class TensaurusFleet:
                     redeal_c.inc()
                     record(now, rid, "redeal", f"shard={sid}", sid, ep)
             if deliveries:
-                push(now + cfg.failover_detect_s, _EV_REDEAL, deliveries)
+                push(now + _FAILOVER_DETECT_S, _EV_REDEAL, deliveries)
 
         def kill_shard(sid: int, now: float) -> None:
             shard = self.shards.get(sid)
@@ -1196,7 +1202,7 @@ class TensaurusFleet:
                 (pressure >= cfg.scale_up_queue_depth or stressed)
                 and len(routable) < cfg.max_shards
             ):
-                shard = self._spawn_shard(now, now + cfg.spinup_delay_s)
+                shard = self._spawn_shard(now, now + _SPINUP_DELAY_S)
                 counters["scale_ups"] += 1
                 result.autoscale_events.append(
                     (round(now, 12), "up", shard.sid)

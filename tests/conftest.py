@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.tensor import SparseTensor
 from repro.util.rng import make_rng
 
@@ -49,6 +50,14 @@ def digest(*parts) -> str:
             h.update(repr(part).encode())
         h.update(b"|")
     return h.hexdigest()
+
+
+def assert_null_observers() -> None:
+    """Every ``repro.obs`` observer is its null object (nothing installed)."""
+    assert obs.tracer() is obs.NULL_TRACER
+    assert obs.metrics() is obs.NULL_REGISTRY
+    assert obs.request_tracer() is obs.NULL_REQUEST_TRACER
+    assert obs.probe() is obs.NULL_PROBE
 
 
 @pytest.fixture

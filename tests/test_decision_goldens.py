@@ -34,7 +34,7 @@ config spelled out (one shard, two replicas, no autoscaling, hedging
 on, an 8-deep queue and a 400 req/s, burst-16 admission bucket); they
 now build it with :meth:`FleetConfig.single_node`, so they pin that
 constructor's settings too. ``naive@11`` runs ``single@11``'s trace through the
-naive baseline (``ServingConfig(shedding=False)``, no hedging); it has
+naive baseline (``shedding=False``, no hedging); it has
 no parent reference: it was first computed with the naive path in the
 fleet loop.
 """
@@ -47,7 +47,6 @@ import pytest
 
 from repro.serving import (
     FleetConfig,
-    ServingConfig,
     TenantQuota,
     TensaurusFleet,
     WorkloadPool,
@@ -202,9 +201,7 @@ def single_case(seed: int, **overrides):
 
 def naive_case(seed: int):
     """``single_case``'s trace through the naive baseline."""
-    return single_case(
-        seed, hedging=False, serving=ServingConfig(shedding=False)
-    )
+    return single_case(seed, hedging=False, shedding=False)
 
 
 def single_chaos_case(seed: int):

@@ -17,7 +17,6 @@ from repro.serving import (
     HEALTH_DEGRADED,
     HEALTH_HEALTHY,
     CircuitBreaker,
-    ServingConfig,
     ServingRequest,
     TenantGovernor,
     TenantQuota,
@@ -237,8 +236,6 @@ class TestFleetConfig:
         with pytest.raises(ConfigError):
             FleetConfig(shards=9, max_shards=6)
         with pytest.raises(ConfigError):
-            FleetConfig(cold_encode_s=-1.0)
-        with pytest.raises(ConfigError):
             FleetConfig(replicas_per_shard=0)
         with pytest.raises(ConfigError):
             FleetConfig(queue_depth=0)
@@ -384,7 +381,6 @@ class TestFleet:
         fleet = TensaurusFleet(
             FleetConfig(
                 seed=SEED, shards=3, routing="random", hedging=True,
-                serving=ServingConfig(hedge_trigger=1.2),
             ),
             fault_plan=FaultPlan(
                 seed=SEED, launch_abort_rate=0.1, pe_lane_dropout_rate=0.05

@@ -19,6 +19,7 @@ from repro.serving import (
     synthetic_trace,
 )
 from repro.sim.faults import FaultPlan
+from tests.conftest import assert_null_observers
 from tests.test_decision_goldens import GOLDEN, decision_digest, fleet_case
 
 SEED = 29
@@ -114,12 +115,10 @@ class TestReplayIsolation:
 
 class TestNullFastPath:
     def test_defaults_stay_null_after_fleet_run(self, pool, trace):
-        assert not obs.enabled()
+        assert_null_observers()
         result = _fleet(pool).run_trace(trace)
         assert result.responses
-        assert obs.tracer() is obs.NULL_TRACER
-        assert obs.metrics() is obs.NULL_REGISTRY
-        assert obs.request_tracer() is obs.NULL_REQUEST_TRACER
+        assert_null_observers()
         assert obs.request_tracer().chrome_trace() == {"traceEvents": []}
 
     def test_null_registry_records_nothing(self, pool, trace):

@@ -26,7 +26,7 @@ from repro.obs import (
 from repro.sim import Tensaurus, TensaurusConfig, Timeline
 from repro.util.rng import make_rng
 
-from tests.conftest import random_tensor
+from tests.conftest import assert_null_observers, random_tensor
 
 
 class TestMetricsRegistry:
@@ -191,23 +191,20 @@ class TestTracer:
 
 class TestObserveContext:
     def test_defaults_are_null(self):
-        assert obs.tracer() is obs.NULL_TRACER
-        assert obs.metrics() is obs.NULL_REGISTRY
-        assert not obs.enabled()
+        assert_null_observers()
 
     def test_observe_installs_and_restores(self):
         with obs.observe() as ob:
             assert obs.tracer() is ob.tracer
             assert obs.metrics() is ob.registry
-            assert obs.enabled()
-        assert obs.tracer() is obs.NULL_TRACER
-        assert obs.metrics() is obs.NULL_REGISTRY
+            assert ob.tracer.enabled and ob.registry.enabled
+        assert_null_observers()
 
     def test_observe_restores_on_error(self):
         with pytest.raises(RuntimeError):
             with obs.observe():
                 raise RuntimeError("boom")
-        assert not obs.enabled()
+        assert_null_observers()
 
     def test_micro_flag_propagates(self):
         with obs.observe(micro=True) as ob:

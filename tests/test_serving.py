@@ -6,6 +6,7 @@ synthetic traces, and the single-node server, a one-shard fleet
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.serving import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -13,7 +14,6 @@ from repro.serving import (
     CircuitBreaker,
     DegradationLadder,
     FleetConfig,
-    ServingConfig,
     ServingRequest,
     TenantQuota,
     TensaurusFleet,
@@ -197,24 +197,6 @@ class TestCircuitBreaker:
         ]
 
 
-class TestServingConfig:
-    def test_defaults_valid(self):
-        ServingConfig()
-
-    # The ids keep the numbers the cases had while earlier cases checked
-    # the removed ``replicas``, ``queue_depth``, ``bucket_rate`` and
-    # ``default_deadline_s`` fields.
-    @pytest.mark.parametrize("kwargs", [
-        {"full_headroom": 1.5},
-        {"hedge_trigger": 0.5},
-        {"service_jitter": -0.1},
-        {"analytic_base_s": -1.0},
-    ], ids=[f"kwargs{i}" for i in (4, 5, 6, 7)])
-    def test_validation(self, kwargs):
-        with pytest.raises(ConfigError):
-            ServingConfig(**kwargs)
-
-
 class TestServingRequest:
     def test_absolute_deadline(self):
         req = ServingRequest(1, 0.5, "mttkrp", "tensor-s", 0.05)
@@ -349,8 +331,7 @@ class TestServerOverload:
     def test_guarded_beats_naive_under_spike(self, pool, trace):
         guarded = single_node(pool).run_trace(trace)
         naive = single_node(
-            pool, calibrate=False, hedging=False,
-            serving=ServingConfig(shedding=False),
+            pool, calibrate=False, hedging=False, shedding=False,
         ).run_trace(trace)
         assert naive.served_fraction == 1.0  # never sheds...
         assert naive.deadline_hit_rate < 0.5  # ...but collapses on deadlines
@@ -402,21 +383,31 @@ class TestServerOverload:
         assert all(by_id[i].priority < 3 for i in evicted)
 
     def test_hedging_with_eager_trigger(self, pool):
+        # First-wins: each settled hedged pair serves the half that
+        # finished first, whichever replica ran it.
         reqs = synthetic_trace(
-            pool, duration_s=0.2, base_rate=60.0, spike_factor=1.0,
+            pool, duration_s=1.0, base_rate=150.0, spike_factor=1.0,
             deadline_s=0.2, seed=13,
         )
-        result = single_node(
-            pool, seed=13, replicas_per_shard=3,
-            serving=ServingConfig(hedge_trigger=1.0, service_jitter=0.8),
-        ).run_trace(reqs)
-        assert result.counters["hedged"] > 0
-        hedged = [r for r in result.responses if r.hedged]
-        assert hedged
-        for resp in hedged:
-            # First-wins: a hedged response finishes no later than the
-            # loser would have.
-            assert resp.finish_s is not None
+        fleet = single_node(pool, seed=13, replicas_per_shard=3)
+        with obs.observe(obs.NULL_TRACER, obs.NULL_REGISTRY,
+                         probe=True) as ob:
+            result = fleet.run_trace(reqs)
+        committed = {
+            e["rid"]: e["response"] for e in ob.probe.of("complete")
+        }
+        pairs = [
+            (committed[e["rid"]], e["response"])
+            for e in ob.probe.of("hedge_cancel") if e["rid"] in committed
+        ]
+        # No kill voids a pair here: every hedged pair settles.
+        assert len(pairs) == result.counters["hedged"] > 0
+        assert result.counters["hedge_wins"] > 0
+        served = {r.request_id: r for r in result.responses}
+        for winner, loser in pairs:
+            assert served[winner.request_id].finish_s == min(
+                winner.finish_s, loser.finish_s
+            )
 
     def test_summary_shape(self, pool, trace):
         result = single_node(pool).run_trace(trace)
