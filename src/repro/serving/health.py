@@ -68,31 +68,26 @@ class ShardHealth:
         return self.state != HEALTH_DEAD
 
 
+#: Score bands: a live shard scoring at least ``DEGRADED_SCORE`` is
+#: degraded, at least ``CRITICAL_SCORE`` critical.
+DEGRADED_SCORE = 0.25
+CRITICAL_SCORE = 0.7
+
+
 class HealthMonitor:
     """Scores shards from breaker state + queue depth.
 
     ``score = 0.6 * open_fraction + 0.2 * half_open_fraction +
     0.4 * queue_fill`` (clamped to 1): a shard with every breaker open
     or a full queue saturates, one with a probing breaker and a light
-    backlog sits in the degraded band. The two thresholds carve the
-    score into the three live states.
+    backlog sits in the degraded band. :data:`DEGRADED_SCORE` and
+    :data:`CRITICAL_SCORE` carve the score into the three live states.
     """
 
-    def __init__(
-        self,
-        queue_capacity: int,
-        degraded_score: float = 0.25,
-        critical_score: float = 0.7,
-    ) -> None:
+    def __init__(self, queue_capacity: int) -> None:
         if queue_capacity <= 0:
             raise ConfigError("queue_capacity must be positive")
-        if not 0 < degraded_score < critical_score <= 1.5:
-            raise ConfigError(
-                "need 0 < degraded_score < critical_score <= 1.5"
-            )
         self.queue_capacity = int(queue_capacity)
-        self.degraded_score = float(degraded_score)
-        self.critical_score = float(critical_score)
         #: last observed state per shard, for transition logging.
         self.last_state: Dict[int, str] = {}
         self.transitions: List = []
@@ -115,9 +110,9 @@ class HealthMonitor:
         )
         if not alive:
             state = HEALTH_DEAD
-        elif score >= self.critical_score:
+        elif score >= CRITICAL_SCORE:
             state = HEALTH_CRITICAL
-        elif score >= self.degraded_score:
+        elif score >= DEGRADED_SCORE:
             state = HEALTH_DEGRADED
         else:
             state = HEALTH_HEALTHY

@@ -220,9 +220,6 @@ class TestHealthMonitor:
     def test_validation(self):
         with pytest.raises(ConfigError):
             HealthMonitor(queue_capacity=0)
-        with pytest.raises(ConfigError):
-            HealthMonitor(queue_capacity=5, degraded_score=0.9,
-                          critical_score=0.2)
 
 
 class TestFleetConfig:
