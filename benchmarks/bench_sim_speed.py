@@ -22,8 +22,9 @@ ALS needs every MTTKRP's output, so ``cp_als.cached_s`` also times the
 functional kernels. Run as
 ``PYTHONPATH=src python benchmarks/bench_sim_speed.py``.
 
-``--check-baseline`` compares only like with like: it refuses a baseline
-measured with a different ``--quick`` setting or on other workload shapes.
+``repro obs sentinel --baseline .`` compares a fresh full-size record
+with the committed one: it refuses a record of another run size or
+workload shape, and fails when a tracked timing more than doubles.
 """
 
 from __future__ import annotations
@@ -256,19 +257,6 @@ def bench_sweep():
     }
 
 
-def workload_shapes(results) -> dict:
-    """The run size and workload shapes a set of timings was measured on."""
-    def pick(section, keys):
-        return {k: results.get(section, {}).get(k) for k in keys}
-
-    return {
-        "quick": results.get("quick"),
-        "mttkrp": pick("mttkrp", ("shape", "nnz", "rank")),
-        "cp_als": pick("cp_als", ("shape", "nnz", "rank", "num_iters")),
-        "engines": pick("engines", ("workload",)),
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -277,12 +265,6 @@ def main() -> int:
     parser.add_argument(
         "--quick", action="store_true",
         help="smaller workload (CI smoke run)",
-    )
-    parser.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help="compare against a committed BENCH_sim.json of the same run "
-        "size and workload shapes, and fail on a >2x wall-clock regression "
-        "of the tracked timings",
     )
     args = parser.parse_args()
 
@@ -335,35 +317,6 @@ def main() -> int:
     if not ok:
         print("FAILED acceptance thresholds")
         return 1
-
-    if args.check_baseline:
-        baseline = json.loads(Path(args.check_baseline).read_text())
-        if workload_shapes(baseline) != workload_shapes(results):
-            print(
-                f"BASELINE MISMATCH: {args.check_baseline} was measured on "
-                f"{workload_shapes(baseline)}, this run on "
-                f"{workload_shapes(results)}; refusing to compare"
-            )
-            return 1
-        tracked = [
-            ("mttkrp.batched_cold_s", m["batched_cold_s"],
-             baseline.get("mttkrp", {}).get("batched_cold_s")),
-            ("mttkrp.batched_cached_s", m["batched_cached_s"],
-             baseline.get("mttkrp", {}).get("batched_cached_s")),
-            ("cp_als.cached_s", a["cached_s"],
-             baseline.get("cp_als", {}).get("cached_s")),
-            ("engines.total_s", e["total_s"],
-             baseline.get("engines", {}).get("total_s")),
-        ]
-        regressions = [
-            f"{label}: {new:.4f}s vs baseline {old:.4f}s"
-            for label, new, old in tracked
-            if old is not None and new > 2.0 * old
-        ]
-        if regressions:
-            print("PERF REGRESSION vs baseline: " + "; ".join(regressions))
-            return 1
-        print(f"baseline check OK ({args.check_baseline})")
     return 0
 
 

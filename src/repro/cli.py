@@ -204,13 +204,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     osent.add_argument("--dir", default=".",
                        help="directory holding the current BENCH_*.json")
-    osent.add_argument("--baseline", default=None, metavar="DIR",
-                       help="baseline artifact directory (default: "
-                       "compare --dir against itself, a schema self-check)")
+    osent.add_argument("--baseline", required=True, metavar="DIR",
+                       help="directory holding the baseline BENCH_*.json")
     osent.add_argument("--json", default=None, metavar="PATH",
                        help="write the delta report as JSON")
-    osent.add_argument("--warn-only", action="store_true",
-                       help="report regressions but exit 0")
 
     tune = sub.add_parser(
         "tune",
@@ -678,18 +675,13 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
 def _cmd_obs_sentinel(args: argparse.Namespace) -> int:
     from repro.obs import sentinel
 
-    report = sentinel.run(args.dir, baseline_dir=args.baseline)
+    report = sentinel.run(args.dir, args.baseline)
     print(report.render())
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
         print(f"wrote sentinel report to {args.json}")
-    if report.ok:
-        return 0
-    if args.warn_only:
-        print("sentinel: regressions found (warn-only mode)", file=sys.stderr)
-        return 0
-    return 1
+    return 0 if report.ok else 1
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:

@@ -18,14 +18,15 @@ sentinel closes the loop:
    baselines (e.g. a 0.004 disabled-overhead figure) get an absolute
    floor instead of a meaningless relative one.
 3. **Compare** current artifacts against a committed baseline directory
-   (by default the same files — a self-check that always passes on an
-   untouched tree) and render a human-readable delta table; any metric
-   outside its band fails the run (exit 1 via ``repro obs sentinel``),
-   which is what turns a silent perf regression into a red CI job.
+   and render a human-readable delta table; any metric outside its band
+   fails the run (exit 1 via ``repro obs sentinel``), which is what
+   turns a silent perf regression into a red CI job.
 
 Wall-clock-derived figures get wide bands (machines differ); cycle
 counts, digests and determinism gates get none (the simulator is
-deterministic).
+deterministic). Each record's run size (``smoke``, ``budget``,
+``quick``, workload shapes) is a ``same`` figure, so a record of
+another size is refused instead of compared.
 """
 
 from __future__ import annotations
@@ -81,8 +82,12 @@ class Rule:
 #: counts must stay exactly what they were.
 HEADLINES: Dict[str, Tuple[Rule, ...]] = {
     "BENCH_sim": (
+        Rule(r"(quick|(mttkrp|cp_als)\.(shape\.\d+|nnz|rank)"
+             r"|cp_als\.num_iters|engines\.workload\..+)", "same"),
         Rule(r"mttkrp\.cycles", "lower", 0.0),
         Rule(r"mttkrp\.identical", "gate"),
+        Rule(r"(mttkrp\.batched_(cold|cached)_s|cp_als\.cached_s"
+             r"|engines\.total_s)", "lower", 1.0),
         Rule(r"cp_als\.cache_hit_speedup", "higher", 0.30),
         Rule(r"sweep\.deterministic", "gate"),
     ),
@@ -106,7 +111,7 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
         Rule(r"affinity\.(deadline_hit_rate|cache_hit_rate)", "higher",
              0.02),
         Rule(r"affinity\.latency_p99_s", "lower", 0.50, 0.005),
-        Rule(r"obs\.slo_digest", "same"),
+        Rule(r"(smoke|obs\.slo_digest)", "same"),
         Rule(r"(affinity_beats_random_p99|affinity_beats_random_cache"
              r"|chaos_shard_killed|chaos_zero_lost|chaos_exactly_once"
              r"|chaos_work_redealt|deterministic_replay)", "gate"),
@@ -115,7 +120,7 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
     ),
     "BENCH_chaos": (
         Rule(r"search\.violations", "lower", 0.0),
-        Rule(r"search\.digest", "same"),
+        Rule(r"(smoke|budget|search\.digest)", "same"),
         Rule(r"mutation\.ratio", "lower", 0.0),
         Rule(r"(search_zero_violations|all_invariants_checked"
              r"|replay_bit_identical|mutation_caught|shrink_ratio_ok"
@@ -131,8 +136,8 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
     "BENCH_tune": (
         Rule(r"kernels\.[^.]+\.speedup", "higher", 0.10),
         Rule(r"kernels\.[^.]+\.tuned_cycles", "lower", 0.0),
-        Rule(r"kernels\.[^.]+\.(trajectory_digest|oracle_sims"
-             r"|grid_extra_sims)", "same"),
+        Rule(r"(smoke|kernels\.[^.]+\.(trajectory_digest|oracle_sims"
+             r"|grid_extra_sims))", "same"),
         Rule(r"(improved_10pct_3_of_4|tuned_matches_grid_all"
              r"|oracle_savings_5x_all|deterministic_all)", "gate"),
     ),
@@ -327,22 +332,12 @@ def compare(
     return report
 
 
-def run(directory: str, baseline_dir: Optional[str] = None,
+def run(directory: str, baseline_dir: str,
         rules: Optional[Dict[str, Sequence[Rule]]] = None) -> SentinelReport:
-    """Load + compare in one call (the CLI/CI entry point).
-
-    With no ``baseline_dir`` the committed artifacts are compared
-    against themselves — a schema/selector self-check that passes on an
-    untouched tree and catches malformed artifacts or dead selectors.
-    """
-    current = collect_artifacts(directory)
-    baseline = (
-        collect_artifacts(baseline_dir) if baseline_dir is not None
-        else current
-    )
+    """Load + compare in one call (the CLI/CI entry point)."""
+    baseline = collect_artifacts(baseline_dir)
     if not baseline:
         raise ValueError(
-            f"no BENCH_*.json artifacts found in "
-            f"{baseline_dir or directory!r}"
+            f"no BENCH_*.json artifacts found in {baseline_dir!r}"
         )
-    return compare(baseline, current, rules)
+    return compare(baseline, collect_artifacts(directory), rules)

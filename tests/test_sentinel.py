@@ -149,7 +149,7 @@ class TestCompare:
 
 class TestRepoArtifacts:
     def test_committed_artifacts_self_check_clean(self):
-        report = sentinel.run(str(REPO_ROOT))
+        report = sentinel.run(str(REPO_ROOT), str(REPO_ROOT))
         assert report.ok, report.render()
         # Every committed BENCH artifact with rules contributes figures.
         stems = {row[0] for row in report.rows}
@@ -194,7 +194,7 @@ class TestRepoArtifacts:
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            sentinel.run(str(tmp_path))
+            sentinel.run(str(REPO_ROOT), str(tmp_path))
 
 
 def just_past(value, rule):
@@ -248,10 +248,71 @@ class TestEveryHeadlineCanFail:
                 if rule.direction in ("higher", "lower"):
                     edge = band_edge(value, rule)
                     assert not self.regressed(flat, stem, path, edge)
-        # Digests and simulation counts are figures too, compared exactly.
+        # Digests, simulation counts and run sizes are figures too,
+        # compared exactly.
         assert exact == {
             ("BENCH_tune", f"kernels.{kernel}.{field}")
             for kernel in ("mttkrp", "ttmc", "spmm", "spmv")
             for field in ("trajectory_digest", "oracle_sims",
                           "grid_extra_sims")
-        } | {("BENCH_chaos", "search.digest"), ("BENCH_fleet", "obs.slo_digest")}
+        } | {
+            ("BENCH_chaos", "search.digest"), ("BENCH_fleet", "obs.slo_digest"),
+            ("BENCH_tune", "smoke"), ("BENCH_fleet", "smoke"),
+            ("BENCH_chaos", "smoke"), ("BENCH_chaos", "budget"),
+            ("BENCH_sim", "quick"),
+        } | {
+            ("BENCH_sim", f"{leg}.{field}")
+            for leg, fields in (
+                ("mttkrp", ("nnz", "rank")),
+                ("cp_als", ("nnz", "rank", "num_iters")),
+                ("engines.workload", ("nnz", "rank", "lanes")),
+            )
+            for field in (*fields, "shape.0", "shape.1", "shape.2")
+        }
+
+
+#: What the benches' own baseline checks rejected before the sentinel
+#: took them over, as doctorings of one committed figure:
+#: ``(artifact, path, doctored value from the committed one)``.
+REPLACED_CHECKS = {
+    "fleet-gate": ("BENCH_fleet", "chaos_zero_lost", lambda v: False),
+    "fleet-p99": ("BENCH_fleet", "affinity.latency_p99_s",
+                  lambda v: v * 1.51),
+    "fleet-slo-digest": ("BENCH_fleet", "obs.slo_digest", lambda v: v[::-1]),
+    "fleet-smoke": ("BENCH_fleet", "smoke", lambda v: not v),
+    "chaos-gate": ("BENCH_chaos", "corpus_replay_clean", lambda v: False),
+    "chaos-digest": ("BENCH_chaos", "search.digest", lambda v: v[::-1]),
+    "chaos-shrink-ratio": ("BENCH_chaos", "mutation.ratio",
+                           lambda v: v + 0.001),
+    "chaos-smoke": ("BENCH_chaos", "smoke", lambda v: not v),
+    "chaos-budget": ("BENCH_chaos", "budget", lambda v: v // 2),
+    "tune-gate": ("BENCH_tune", "deterministic_all", lambda v: False),
+    "tune-cycles": ("BENCH_tune", "kernels.spmv.tuned_cycles",
+                    lambda v: v + 1),
+    "tune-digest": ("BENCH_tune", "kernels.mttkrp.trajectory_digest",
+                    lambda v: v[::-1]),
+    "tune-oracle-sims": ("BENCH_tune", "kernels.ttmc.oracle_sims",
+                         lambda v: v - 1),
+    "tune-grid-sims": ("BENCH_tune", "kernels.spmm.grid_extra_sims",
+                       lambda v: v + 1),
+    "tune-smoke": ("BENCH_tune", "smoke", lambda v: not v),
+    **{
+        f"sim-{path}": ("BENCH_sim", path, lambda v: v * 2.01)
+        for path in ("mttkrp.batched_cold_s", "mttkrp.batched_cached_s",
+                     "cp_als.cached_s", "engines.total_s")
+    },
+    "sim-quick": ("BENCH_sim", "quick", lambda v: not v),
+    "sim-shape": ("BENCH_sim", "mttkrp.shape.1", lambda v: 384),
+    "sim-nnz": ("BENCH_sim", "cp_als.nnz", lambda v: v - 1),
+    "sim-engine-workload": ("BENCH_sim", "engines.workload.lanes",
+                            lambda v: v * 2),
+}
+
+
+@pytest.mark.parametrize("check", list(REPLACED_CHECKS))
+def test_replaced_baseline_check_still_rejects(check):
+    stem, path, doctor = REPLACED_CHECKS[check]
+    base = {s: flatten(a) for s, a in collect_artifacts(str(REPO_ROOT)).items()}
+    current = {**base, stem: {**base[stem], path: doctor(base[stem][path])}}
+    report = compare(base, current)
+    assert {(r[0], r[1]) for r in report.regressions} == {(stem, path)}
