@@ -92,16 +92,19 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
         Rule(r"sweep\.deterministic", "gate"),
     ),
     "BENCH_encoders": (
+        Rule(r"quick", "same"),
         Rule(r"suite\.warm_speedup", "higher", 0.40),
     ),
     "BENCH_obs": (
+        Rule(r"quick", "same"),
         # Near-zero baseline: the band is the absolute gate headroom,
-        # not a fraction of 0.004.
+        # not a fraction of a reading within a percent of 0.
         Rule(r"mttkrp\.disabled_overhead", "lower", 0.0, 0.016),
         Rule(r"mttkrp\.bit_identical", "gate"),
         Rule(r"mttkrp\.cycles", "lower", 0.0),
     ),
     "BENCH_serving": (
+        Rule(r"smoke", "same"),
         Rule(r"guarded\.deadline_hit_rate", "higher", 0.02),
         Rule(r"guarded\.latency_p99_s", "lower", 0.50, 0.005),
         Rule(r"(deterministic_replay|full_tier_bit_identical"
@@ -127,6 +130,7 @@ HEADLINES: Dict[str, Tuple[Rule, ...]] = {
              r"|minimal_passes_clean|corpus_replay_clean)", "gate"),
     ),
     "BENCH_resilience": (
+        Rule(r"smoke", "same"),
         Rule(r"overhead\.baseline_cycles", "lower", 0.0),
         Rule(r"overhead\.(rate_zero_identical|replay_identical"
              r"|overhead_monotone)", "gate"),

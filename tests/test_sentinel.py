@@ -2,9 +2,11 @@
 
 Flattening of heterogeneous BENCH schemas, rule selection and tolerance
 bands, the comparison semantics (direction, gates, exact matches, missing
-data), and the end-to-end contract: the committed artifacts self-check
-clean, an injected regression in a fixture is flagged, and every
-committed headline figure regresses once it leaves its band.
+data), and the end-to-end contract: the committed artifacts compared
+with themselves pass, an injected regression in a fixture is flagged,
+every committed headline figure regresses once it leaves its band, and
+what the benches' own baseline checks rejected before the sentinel took
+them over still regresses.
 """
 
 import json
@@ -165,7 +167,7 @@ class TestRepoArtifacts:
     def test_resilience_figures_gated(self, tmp_path):
         artifacts = collect_artifacts(str(REPO_ROOT))
         assert set(collect_figures(artifacts)["BENCH_resilience"]) == {
-            "overhead.baseline_cycles", "overhead.rate_zero_identical",
+            "smoke", "overhead.baseline_cycles", "overhead.rate_zero_identical",
             "overhead.replay_identical", "overhead.overhead_monotone",
             "degraded_lanes.degradation_graceful",
             "cp_resume.factors_match", "cp_resume.trace_match",
@@ -259,7 +261,9 @@ class TestEveryHeadlineCanFail:
             ("BENCH_chaos", "search.digest"), ("BENCH_fleet", "obs.slo_digest"),
             ("BENCH_tune", "smoke"), ("BENCH_fleet", "smoke"),
             ("BENCH_chaos", "smoke"), ("BENCH_chaos", "budget"),
-            ("BENCH_sim", "quick"),
+            ("BENCH_serving", "smoke"), ("BENCH_resilience", "smoke"),
+            ("BENCH_sim", "quick"), ("BENCH_encoders", "quick"),
+            ("BENCH_obs", "quick"),
         } | {
             ("BENCH_sim", f"{leg}.{field}")
             for leg, fields in (
