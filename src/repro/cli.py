@@ -202,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compare BENCH_*.json headline figures against a baseline "
         "directory with per-metric tolerance bands",
     )
-    osent.add_argument("--dir", default=".",
+    osent.add_argument("--dir", required=True,
                        help="directory holding the current BENCH_*.json")
     osent.add_argument("--baseline", required=True, metavar="DIR",
                        help="directory holding the baseline BENCH_*.json")
