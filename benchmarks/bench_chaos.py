@@ -21,8 +21,9 @@ results to ``BENCH_chaos.json``:
 
 The bench exits nonzero unless :func:`accepted` holds for the record it
 writes; ``tests/test_bench_chaos.py`` holds the committed
-``BENCH_chaos.json`` to it. ``repro obs sentinel --baseline .``
-compares a fresh full-size record with the committed one.
+``BENCH_chaos.json`` to it. ``repro obs sentinel --dir bench_now
+--baseline .`` compares a fresh full-size record in ``bench_now/`` with
+the committed one.
 
 Run as ``PYTHONPATH=src python benchmarks/bench_chaos.py`` (add
 ``--smoke`` for the short CI workload).

@@ -22,9 +22,10 @@ ALS needs every MTTKRP's output, so ``cp_als.cached_s`` also times the
 functional kernels. Run as
 ``PYTHONPATH=src python benchmarks/bench_sim_speed.py``.
 
-``repro obs sentinel --baseline .`` compares a fresh full-size record
-with the committed one: it refuses a record of another run size or
-workload shape, and fails when a tracked timing more than doubles.
+``repro obs sentinel --dir bench_now --baseline .`` compares a fresh
+full-size record in ``bench_now/`` with the committed one: it refuses a
+record of another run size or workload shape, and fails when a tracked
+timing more than doubles.
 """
 
 from __future__ import annotations

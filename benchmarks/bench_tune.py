@@ -20,8 +20,9 @@ trajectory digest.
 
 The bench exits nonzero unless :func:`accepted` holds for the record it
 writes; ``tests/test_bench_tune.py`` holds the committed
-``BENCH_tune.json`` to it. ``repro obs sentinel --baseline .``
-compares a fresh full-size record with the committed one.
+``BENCH_tune.json`` to it. ``repro obs sentinel --dir bench_now
+--baseline .`` compares a fresh full-size record in ``bench_now/`` with
+the committed one.
 
 Run as ``PYTHONPATH=src python benchmarks/bench_tune.py`` (add
 ``--smoke`` for the short CI workload).
